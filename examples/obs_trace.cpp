@@ -50,19 +50,14 @@ int main(int argc, char** argv) {
   };
   write("cluster_trace.json", observer.tracer.chrome_trace_json());
   write("cluster_trace.jsonl", observer.tracer.jsonl());
-  write("cluster_power.csv",
-        obs::counter_track(observer.tracer, "cluster_W").empty()
-            ? std::string("t_s,power_w\n")
-            : [&] {
-                std::string csv = "t_s,power_w\n";
-                for (const auto& s :
-                     obs::counter_track(observer.tracer, "cluster_W")
-                         .steps()) {
-                  csv += std::to_string(s.start.value()) + "," +
-                         std::to_string(s.level.value()) + "\n";
-                }
-                return csv;
-              }());
+  // Bound to a local: iterating steps() of a temporary would dangle.
+  const auto power = obs::counter_track(observer.tracer, "cluster_W");
+  std::string csv = "t_s,power_w\n";
+  for (const auto& s : power.steps()) {
+    csv += std::to_string(s.start.value()) + "," +
+           std::to_string(s.level.value()) + "\n";
+  }
+  write("cluster_power.csv", csv);
   write("metrics.json", observer.metrics.snapshot().to_json().dump_pretty());
 
   const obs::MetricsSnapshot snap = observer.metrics.snapshot();

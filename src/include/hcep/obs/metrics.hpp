@@ -21,6 +21,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "hcep/util/json.hpp"
@@ -106,6 +107,12 @@ class MetricsRegistry {
   /// Zeroes every shard slot and gauge (writers must be quiescent).
   void reset();
 
+  /// Registries each thread keeps a direct shard pointer for; a thread
+  /// updating more registries than this finds the rest under the lock.
+  static constexpr std::size_t kThreadCacheCapacity = 8;
+  /// Entries in the calling thread's shard cache (at most the capacity).
+  [[nodiscard]] static std::size_t thread_cache_size();
+
  private:
   enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
   struct Descriptor {
@@ -119,11 +126,14 @@ class MetricsRegistry {
     std::vector<double> bounds;
   };
   struct Shard {
+    std::thread::id owner;  ///< the only thread that writes this shard
     std::unique_ptr<std::atomic<std::uint64_t>[]> u64;
     std::unique_ptr<std::atomic<double>[]> f64;
   };
 
   Shard& local_shard();
+  /// The calling thread's shard, found or created under the lock.
+  Shard* owned_shard();
   MetricId find_or_register(std::string_view name, Kind kind,
                             std::vector<double> bounds);
 

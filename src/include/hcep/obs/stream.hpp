@@ -86,12 +86,35 @@ class QuantileSketch {
   [[nodiscard]] std::uint64_t count() const { return n_; }
   /// Currently proven relative value-error bound, 2^-(shift + 1).
   [[nodiscard]] double epsilon() const;
-  /// Bucket-array entries currently allocated (both signs).
+  /// Buckets in the live contiguous ranges (both signs).
   [[nodiscard]] std::size_t buckets() const;
   /// Hard cardinality cap: buckets() never exceeds it.
   [[nodiscard]] static constexpr std::size_t max_buckets() { return 4096; }
 
  private:
+  /// One sign's contiguous bucket range over the sub-bucket index
+  /// (biased_exponent << shift | top mantissa bits) of |value|. The live
+  /// buckets are cells[lo, lo + len); the cells around them are zeroed
+  /// headroom, so widening the range toward either end is amortized O(1)
+  /// instead of shifting every bucket.
+  struct Range {
+    std::vector<std::uint64_t> cells;
+    std::size_t lo = 0;
+    std::size_t len = 0;
+    std::int32_t base = 0;  ///< sub-bucket index of cells[lo]
+
+    /// Count cell of `index`, or nullptr outside the live range.
+    [[nodiscard]] std::uint64_t* find(std::int32_t index) {
+      const std::int32_t off = index - base;
+      return off >= 0 && static_cast<std::size_t>(off) < len
+                 ? &cells[lo + static_cast<std::size_t>(off)]
+                 : nullptr;
+    }
+    /// Widens the live range to hold `index` (new buckets read zero).
+    void cover(std::int32_t index);
+    void relayout(std::size_t front, std::size_t back);
+  };
+
   void extend(bool negative, std::int32_t index);
   void escalate();
   [[nodiscard]] double representative(bool negative,
@@ -100,12 +123,8 @@ class QuantileSketch {
   std::uint32_t shift_ = 8;  ///< sub-bucket bits per octave
   std::uint64_t n_ = 0;
   std::uint64_t zero_ = 0;   ///< exact count of inserted zeros
-  /// Contiguous bucket ranges over the sub-bucket index
-  /// (biased_exponent << shift | top mantissa bits) of |value|.
-  std::int32_t base_ = 0;    ///< index of counts_[0] (positive values)
-  std::int32_t nbase_ = 0;   ///< index of ncounts_[0] (negative values)
-  std::vector<std::uint64_t> counts_;
-  std::vector<std::uint64_t> ncounts_;
+  Range pos_;                ///< positive values
+  Range neg_;                ///< negative values, by |value|
 };
 
 /// Per-node-class slice of one closed window. "Node class" is a node

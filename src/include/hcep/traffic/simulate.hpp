@@ -146,8 +146,9 @@ struct TrafficResult {
   /// timeline.to_json() / timeline.csv().
   obs::stream::StreamTimeline timeline;
 
-  /// Per-request terminal outcomes, sorted by arrival index (empty
-  /// unless TrafficOptions::record_requests). Like `control` and
+  /// Per-request terminal outcomes in arrival-index order,
+  /// `requests[i].index == i` (empty unless
+  /// TrafficOptions::record_requests). Like `control` and
   /// `timeline`, deliberately NOT part of to_json().
   std::vector<RequestRecord> requests;
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,9 +36,18 @@ struct LatencySummary {
   Seconds p99{};
   Seconds max{};
 
-  /// Exact percentiles of `samples_s` (seconds); sorts in place.
+  /// Exact percentiles of `samples_s` (seconds); sorts in place, once,
+  /// so the caller may reuse the sorted vector as a run below.
   [[nodiscard]] static LatencySummary from_samples(
       std::vector<double>& samples_s);
+
+  /// Exact summary of the union of ascending runs, bit-identical to
+  /// from_samples over their concatenation: one merge walk in ascending
+  /// order yields the sum (in sorted order), the ranks and the max,
+  /// without copying the samples. Throws PreconditionError if a run is
+  /// not ascending.
+  [[nodiscard]] static LatencySummary from_sorted_runs(
+      std::span<const std::span<const double>> runs);
 
   [[nodiscard]] JsonValue to_json() const;
 };

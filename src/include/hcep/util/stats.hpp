@@ -31,6 +31,25 @@ class RunningStats {
   double max_ = 0.0;
 };
 
+/// Where percentile `p` of `n` sorted samples sits under closest-rank
+/// interpolation: rank p/100*(n-1), between positions `lo` and `hi`.
+struct PercentileRank {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+
+  /// The percentile, given the samples at positions `lo` and `hi`.
+  [[nodiscard]] double value(double at_lo, double at_hi) const;
+};
+
+/// `n` > 0 and `p` in [0, 100].
+[[nodiscard]] PercentileRank percentile_rank(std::size_t n, double p);
+
+/// Exact percentile of an ascending sample set; `p` in [0, 100]. Every
+/// exact percentile in hcep goes through this one formula.
+[[nodiscard]] double percentile_sorted(std::span<const double> sorted,
+                                       double p);
+
 /// Exact percentile (linear interpolation between closest ranks) of a
 /// sample set; `p` in [0, 100]. Sorts a copy; use for batch analysis.
 [[nodiscard]] double percentile(std::span<const double> samples, double p);

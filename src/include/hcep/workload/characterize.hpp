@@ -19,6 +19,17 @@ namespace hcep::workload {
 [[nodiscard]] NodeDemand demand_from_counts(const kernels::OpCounts& per_unit,
                                             const hw::NodeSpec& node);
 
+/// Runs `kernel` once for `units` units of work and returns its total
+/// counts. Counts do not depend on the node, so one run characterizes a
+/// program on every node type through demand_from_run.
+[[nodiscard]] kernels::OpCounts run_characterization(kernels::Kernel& kernel,
+                                                     std::uint64_t units,
+                                                     std::uint64_t seed = 42);
+
+/// Per-unit demand on `node` from the totals of one characterization run.
+[[nodiscard]] NodeDemand demand_from_run(const kernels::OpCounts& totals,
+                                         const hw::NodeSpec& node);
+
 /// Runs `kernel` for `units` units of work and characterizes it on `node`.
 /// `seed` fixes the kernel's stochastic inputs.
 [[nodiscard]] NodeDemand characterize(kernels::Kernel& kernel,

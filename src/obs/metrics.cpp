@@ -1,6 +1,8 @@
 #include "hcep/obs/metrics.hpp"
 
 #include <algorithm>
+#include <array>
+#include <thread>
 
 #include "hcep/util/error.hpp"
 
@@ -13,14 +15,21 @@ std::uint64_t next_registry_serial() {
   return serial.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Thread-local shard cache. Keyed by the registry's process-unique
-/// serial (not its address) so a registry destroyed and another allocated
-/// at the same address can never alias a stale shard pointer.
+/// Thread-local shard cache, most recently used first. Keyed by the
+/// registry's process-unique serial (not its address) so a registry
+/// destroyed and another allocated at the same address can never alias a
+/// stale shard pointer. Bounded: entries of dead or idle registries age
+/// out instead of lengthening every lookup, and a miss falls back to the
+/// registry's own shard list.
 struct ShardRef {
   std::uint64_t serial = 0;
   void* shard = nullptr;
 };
-thread_local std::vector<ShardRef> t_shards;
+struct ShardCache {
+  std::array<ShardRef, MetricsRegistry::kThreadCacheCapacity> refs{};
+  std::size_t size = 0;
+};
+thread_local ShardCache t_shards;
 
 }  // namespace
 
@@ -35,11 +44,29 @@ MetricsRegistry::MetricsRegistry(std::size_t slot_capacity)
 MetricsRegistry::~MetricsRegistry() = default;
 
 MetricsRegistry::Shard& MetricsRegistry::local_shard() {
-  for (const ShardRef& ref : t_shards) {
-    if (ref.serial == serial_) return *static_cast<Shard*>(ref.shard);
+  ShardCache& cache = t_shards;
+  const auto begin = cache.refs.begin();
+  for (std::size_t i = 0; i < cache.size; ++i) {
+    if (cache.refs[i].serial != serial_) continue;
+    std::rotate(begin, begin + static_cast<std::ptrdiff_t>(i),
+                begin + static_cast<std::ptrdiff_t>(i + 1));
+    return *static_cast<Shard*>(cache.refs[0].shard);
   }
+  Shard* raw = owned_shard();
+  cache.size = std::min(cache.size + 1, cache.refs.size());
+  std::rotate(begin, begin + static_cast<std::ptrdiff_t>(cache.size - 1),
+              begin + static_cast<std::ptrdiff_t>(cache.size));
+  cache.refs[0] = ShardRef{serial_, raw};
+  return *raw;
+}
+
+MetricsRegistry::Shard* MetricsRegistry::owned_shard() {
+  const std::thread::id self = std::this_thread::get_id();
   std::lock_guard lock(mutex_);
+  for (const auto& shard : shards_)
+    if (shard->owner == self) return shard.get();
   auto shard = std::make_unique<Shard>();
+  shard->owner = self;
   shard->u64 =
       std::make_unique<std::atomic<std::uint64_t>[]>(slot_capacity_);
   shard->f64 = std::make_unique<std::atomic<double>[]>(slot_capacity_);
@@ -47,11 +74,11 @@ MetricsRegistry::Shard& MetricsRegistry::local_shard() {
     shard->u64[i].store(0, std::memory_order_relaxed);
     shard->f64[i].store(0.0, std::memory_order_relaxed);
   }
-  Shard* raw = shard.get();
   shards_.push_back(std::move(shard));
-  t_shards.push_back(ShardRef{serial_, raw});
-  return *raw;
+  return shards_.back().get();
 }
+
+std::size_t MetricsRegistry::thread_cache_size() { return t_shards.size; }
 
 MetricId MetricsRegistry::find_or_register(std::string_view name, Kind kind,
                                            std::vector<double> bounds) {

@@ -48,8 +48,38 @@ double QuantileSketch::epsilon() const {
   return std::ldexp(1.0, -static_cast<int>(shift_) - 1);
 }
 
-std::size_t QuantileSketch::buckets() const {
-  return counts_.size() + ncounts_.size();
+std::size_t QuantileSketch::buckets() const { return pos_.len + neg_.len; }
+
+void QuantileSketch::Range::cover(std::int32_t index) {
+  if (len == 0) {
+    cells.assign(1, 0);
+    lo = 0;
+    len = 1;
+    base = index;
+  } else if (index < base) {
+    const auto grow = static_cast<std::size_t>(base - index);
+    if (grow > lo) relayout(grow, 0);
+    lo -= grow;
+    len += grow;
+    base = index;
+  } else {
+    const auto grow = static_cast<std::size_t>(index - base) + 1 - len;
+    if (lo + len + grow > cells.size()) relayout(0, grow);
+    len += grow;
+  }
+}
+
+void QuantileSketch::Range::relayout(std::size_t front, std::size_t back) {
+  // Room for the widened range plus as much again on the side that
+  // grew: a run of extensions that way then moves the buckets O(log n)
+  // times instead of once per extension.
+  const std::size_t span = len + front + back;
+  const std::size_t room = front > 0 ? span : 0;
+  std::vector<std::uint64_t> next(room + span + (back > 0 ? span : 0), 0);
+  std::copy_n(cells.begin() + static_cast<std::ptrdiff_t>(lo), len,
+              next.begin() + static_cast<std::ptrdiff_t>(room + front));
+  cells = std::move(next);
+  lo = room + front;
 }
 
 void QuantileSketch::escalate() {
@@ -57,42 +87,33 @@ void QuantileSketch::escalate() {
   // Halving the sub-bucket resolution maps index -> index >> 1 exactly
   // ((exp << s) | m becomes (exp << (s-1)) | (m >> 1)), so adjacent
   // buckets fold pairwise.
-  const auto fold = [](std::vector<std::uint64_t>& arr,
-                       std::int32_t& base) {
-    if (arr.empty()) return;
-    const std::int32_t nb = base >> 1;
+  const auto fold = [](Range& r) {
+    if (r.len == 0) return;
+    const std::int32_t nb = r.base >> 1;
     const std::int32_t last =
-        (base + static_cast<std::int32_t>(arr.size()) - 1) >> 1;
+        (r.base + static_cast<std::int32_t>(r.len) - 1) >> 1;
     std::vector<std::uint64_t> out(
         static_cast<std::size_t>(last - nb) + 1, 0);
-    for (std::size_t i = 0; i < arr.size(); ++i) {
+    for (std::size_t i = 0; i < r.len; ++i) {
       out[static_cast<std::size_t>(
-          ((base + static_cast<std::int32_t>(i)) >> 1) - nb)] += arr[i];
+          ((r.base + static_cast<std::int32_t>(i)) >> 1) - nb)] +=
+          r.cells[r.lo + i];
     }
-    arr = std::move(out);
-    base = nb;
+    r.len = out.size();
+    r.lo = 0;
+    r.cells = std::move(out);
+    r.base = nb;
   };
-  fold(counts_, base_);
-  fold(ncounts_, nbase_);
+  fold(pos_);
+  fold(neg_);
 }
 
 void QuantileSketch::extend(bool negative, std::int32_t index) {
-  auto& arr = negative ? ncounts_ : counts_;
-  auto& base = negative ? nbase_ : base_;
-  if (arr.empty()) {
-    base = index;
-    arr.push_back(0);
-  } else if (index < base) {
-    arr.insert(arr.begin(), static_cast<std::size_t>(base - index), 0);
-    base = index;
-  } else {
-    arr.resize(static_cast<std::size_t>(index - base) + 1, 0);
-  }
+  (negative ? neg_ : pos_).cover(index);
   // Bucket-cap pressure: halve the resolution deterministically until
   // the contiguous ranges fit again (at shift 0 the range is the bare
   // exponent, at most 2048 buckets per sign — always under the cap).
-  while (counts_.size() + ncounts_.size() > max_buckets() && shift_ > 0)
-    escalate();
+  while (buckets() > max_buckets() && shift_ > 0) escalate();
 }
 
 void QuantileSketch::insert(double value) {
@@ -105,13 +126,11 @@ void QuantileSketch::insert(double value) {
   const double a = neg ? -value : value;
   std::uint64_t u;
   std::memcpy(&u, &a, sizeof u);
+  Range& range = neg ? neg_ : pos_;
   for (;;) {
     const auto index = static_cast<std::int32_t>(u >> (52U - shift_));
-    const auto& arr = neg ? ncounts_ : counts_;
-    const std::int32_t off = index - (neg ? nbase_ : base_);
-    if (!arr.empty() && off >= 0 &&
-        off < static_cast<std::int32_t>(arr.size())) {
-      ++(neg ? ncounts_ : counts_)[static_cast<std::size_t>(off)];
+    if (std::uint64_t* cell = range.find(index)) {
+      ++*cell;
       return;
     }
     // Slow path: grow the bucket range (may escalate shift_, changing
@@ -130,11 +149,8 @@ void QuantileSketch::merge(const QuantileSketch& other) {
   const auto add = [&](bool negative, std::int32_t index,
                        std::uint64_t c) {
     for (;;) {
-      auto& arr = negative ? ncounts_ : counts_;
-      const std::int32_t off = index - (negative ? nbase_ : base_);
-      if (!arr.empty() && off >= 0 &&
-          off < static_cast<std::int32_t>(arr.size())) {
-        arr[static_cast<std::size_t>(off)] += c;
+      if (std::uint64_t* cell = (negative ? neg_ : pos_).find(index)) {
+        *cell += c;
         return;
       }
       const std::uint32_t before = shift_;
@@ -142,18 +158,17 @@ void QuantileSketch::merge(const QuantileSketch& other) {
       if (shift_ != before) index >>= (before - shift_);
     }
   };
-  const auto fold_in = [&](const std::vector<std::uint64_t>& src,
-                           std::int32_t src_base, bool negative) {
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      if (src[i] == 0) continue;
+  const auto fold_in = [&](const Range& src, bool negative) {
+    for (std::size_t i = 0; i < src.len; ++i) {
+      const std::uint64_t c = src.cells[src.lo + i];
+      if (c == 0) continue;
       // shift_ can escalate mid-loop; re-derive the down-shift each time.
       const std::uint32_t down = other.shift_ - shift_;
-      add(negative,
-          (src_base + static_cast<std::int32_t>(i)) >> down, src[i]);
+      add(negative, (src.base + static_cast<std::int32_t>(i)) >> down, c);
     }
   };
-  fold_in(other.counts_, other.base_, false);
-  fold_in(other.ncounts_, other.nbase_, true);
+  fold_in(other.pos_, false);
+  fold_in(other.neg_, true);
 }
 
 double QuantileSketch::representative(bool negative,
@@ -182,23 +197,23 @@ double QuantileSketch::quantile(double q) const {
   // Ascending value order: negative values from the most negative
   // (highest |value| bucket of the mirror) up, then zeros, then
   // positive values.
-  for (std::size_t i = ncounts_.size(); i-- > 0;) {
-    cum += ncounts_[i];
+  for (std::size_t i = neg_.len; i-- > 0;) {
+    cum += neg_.cells[neg_.lo + i];
     if (cum >= rank) {
-      return representative(true, nbase_ + static_cast<std::int32_t>(i));
+      return representative(true, neg_.base + static_cast<std::int32_t>(i));
     }
   }
   cum += zero_;
   if (cum >= rank) return 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
+  for (std::size_t i = 0; i < pos_.len; ++i) {
+    cum += pos_.cells[pos_.lo + i];
     if (cum >= rank) {
-      return representative(false, base_ + static_cast<std::int32_t>(i));
+      return representative(false, pos_.base + static_cast<std::int32_t>(i));
     }
   }
   // Unreachable for a consistent histogram (cum == n_ at the end).
   return representative(
-      false, base_ + static_cast<std::int32_t>(counts_.size()) - 1);
+      false, pos_.base + static_cast<std::int32_t>(pos_.len) - 1);
 }
 
 // ---------------------------------------------------------------------------

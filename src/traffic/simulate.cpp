@@ -4,6 +4,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "hcep/config/operating_points.hpp"
@@ -192,6 +193,8 @@ std::vector<double> cumulative_weights(
   return cumulative;
 }
 
+/// Per-class ledger plus the run's only exact-sample store: the overall
+/// summaries are merged from these per-class runs at the end.
 struct ClassSamples {
   std::vector<double> wait, service, sojourn;
   std::uint64_t offered = 0, admitted = 0, shed = 0, retries = 0,
@@ -204,9 +207,9 @@ struct ClassSamples {
 /// stay within des::Callback's inline buffer.
 struct Request {
   std::uint32_t cls = 0;
-  std::uint32_t index = 0;  ///< arrival index (record_requests join key)
-  Seconds first_arrival{};
   std::uint32_t attempt = 1;
+  std::uint64_t index = 0;  ///< arrival index (record_requests join key)
+  Seconds first_arrival{};
 };
 static_assert(sizeof(Request) <= 24, "Request must stay callback-inline");
 
@@ -250,9 +253,6 @@ class Engine final : public control::Actuator {
           options.admission.bucket_rate_per_s / split,
           std::max(1.0, options.admission.bucket_burst / split));
     }
-    all_wait_.reserve(request_budget);
-    all_service_.reserve(request_budget);
-    all_sojourn_.reserve(request_budget);
     if (options.record_requests) records_.reserve(request_budget);
 #if HCEP_OBS
     o_ = obs::current();
@@ -342,7 +342,7 @@ class Engine final : public control::Actuator {
   /// Pre-assigned arrivals (sharded path): (time, class, global index)
   /// triples generated up front from the shared arrival stream.
   void preload(const std::vector<Arrival>& arrivals,
-               const std::vector<std::uint32_t>& indices) {
+               const std::vector<std::uint64_t>& indices) {
     preload_total_ = arrivals.size();
     if (preload_total_ == 0) arrivals_done_ = true;
     for (std::size_t k = 0; k < arrivals.size(); ++k) {
@@ -373,9 +373,6 @@ class Engine final : public control::Actuator {
   [[nodiscard]] Joules dynamic_energy() const { return dynamic_energy_; }
   [[nodiscard]] std::vector<ClassSamples>& per_class() { return per_class_; }
   [[nodiscard]] std::vector<Node>& nodes() { return nodes_; }
-  [[nodiscard]] std::vector<double>& all_wait() { return all_wait_; }
-  [[nodiscard]] std::vector<double>& all_service() { return all_service_; }
-  [[nodiscard]] std::vector<double>& all_sojourn() { return all_sojourn_; }
   [[nodiscard]] control::ControlSummary& control_summary() { return csum_; }
   [[nodiscard]] std::vector<std::pair<double, double>>& ledger() {
     return ledger_;
@@ -428,7 +425,7 @@ class Engine final : public control::Actuator {
       const double coin = rng_.uniform01();
       while (cls + 1 < classes_.size() && coin > cumulative_[cls]) ++cls;
     }
-    arrive(cls, static_cast<std::uint32_t>(offered));
+    arrive(cls, offered);
     const Seconds next = gen_->next(sim_.now(), rng_);
     if (next.value() < std::numeric_limits<double>::infinity())
       schedule_pump(next);
@@ -448,19 +445,19 @@ class Engine final : public control::Actuator {
   void assigned_arrival() {
     const std::size_t k = assigned_cursor_++;
     if (assigned_cursor_ >= assigned_->size()) arrivals_done_ = true;
-    arrive((*assigned_)[k].cls, static_cast<std::uint32_t>(k));
+    arrive((*assigned_)[k].cls, k);
     if (assigned_cursor_ < assigned_->size())
       schedule_assigned((*assigned_)[assigned_cursor_].t);
   }
 
   /// Preloaded-arrival firing (class was drawn at generation time).
-  void admit_arrival(std::size_t cls, std::uint32_t index) {
+  void admit_arrival(std::size_t cls, std::uint64_t index) {
     ++preload_fired_;
     if (preload_fired_ >= preload_total_) arrivals_done_ = true;
     arrive(cls, index);
   }
 
-  void arrive(std::size_t cls, std::uint32_t index) {
+  void arrive(std::size_t cls, std::uint64_t index) {
     ++offered;
     if (copts_ != nullptr) ++window_arrivals_;
     Request req;
@@ -553,10 +550,13 @@ class Engine final : public control::Actuator {
       fb.window_shed = window_shed_[c];
       fb.window_p99 = Seconds{0.0};
       if (!sj.empty()) {
-        std::sort(sj.begin(), sj.end());
+        // Only the one order statistic is read, and the window is
+        // cleared after the tick: select it instead of sorting.
         const std::size_t idx = static_cast<std::size_t>(
             0.99 * static_cast<double>(sj.size() - 1) + 0.5);
-        fb.window_p99 = Seconds{sj[idx]};
+        const auto nth = sj.begin() + static_cast<std::ptrdiff_t>(idx);
+        std::nth_element(sj.begin(), nth, sj.end());
+        fb.window_p99 = Seconds{*nth};
       }
     }
 
@@ -1040,9 +1040,6 @@ class Engine final : public control::Actuator {
     per_class_[cls].dynamic_energy += joules;
 
     const Seconds sojourn = sim_.now() - first_arrival;
-    all_wait_.push_back(wait.value());
-    all_service_.push_back(service.value());
-    all_sojourn_.push_back(sojourn.value());
     per_class_[cls].wait.push_back(wait.value());
     per_class_[cls].service.push_back(service.value());
     per_class_[cls].sojourn.push_back(sojourn.value());
@@ -1094,7 +1091,6 @@ class Engine final : public control::Actuator {
   Seconds makespan_{};
   Joules dynamic_energy_{};
   std::vector<ClassSamples> per_class_;
-  std::vector<double> all_wait_, all_service_, all_sojourn_;
   // --- closed-loop state (inert without a controller) ---
   const control::ControlOptions* copts_ = nullptr;
   const std::vector<TypePoints>* tables_ = nullptr;
@@ -1270,7 +1266,7 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     process_name = gen->name();
     Rng arrival_rng(options.seed);
     std::vector<std::vector<Arrival>> shard_arrivals(shard_count);
-    std::vector<std::vector<std::uint32_t>> shard_indices(shard_count);
+    std::vector<std::vector<std::uint64_t>> shard_indices(shard_count);
     Seconds t{0.0};
     for (std::uint64_t k = 0; k < options.requests; ++k) {
       t = gen->next(t, arrival_rng);
@@ -1282,7 +1278,7 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
       }
       shard_arrivals[k % shard_count].push_back(
           Arrival{t, static_cast<std::uint32_t>(cls)});
-      shard_indices[k % shard_count].push_back(static_cast<std::uint32_t>(k));
+      shard_indices[k % shard_count].push_back(k);
     }
 
     std::vector<std::vector<Node>> shard_nodes(shard_count);
@@ -1317,7 +1313,6 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
   out.arrival_process = process_name;
   out.shards = shard_count;
 
-  std::vector<double> all_wait, all_service, all_sojourn;
   std::vector<ClassSamples> per_class(classes.size());
   Joules dynamic_energy{0.0};
   Seconds makespan{0.0};
@@ -1355,18 +1350,6 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
                            src.sojourn.end());
       }
     }
-    if (engines.size() == 1) {
-      all_wait = std::move(e->all_wait());
-      all_service = std::move(e->all_service());
-      all_sojourn = std::move(e->all_sojourn());
-    } else {
-      all_wait.insert(all_wait.end(), e->all_wait().begin(),
-                      e->all_wait().end());
-      all_service.insert(all_service.end(), e->all_service().begin(),
-                         e->all_service().end());
-      all_sojourn.insert(all_sojourn.end(), e->all_sojourn().begin(),
-                         e->all_sojourn().end());
-    }
     for (Node& n : e->nodes()) merged_nodes.push_back(&n);
   }
 
@@ -1382,17 +1365,22 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
                             e->records().end());
       }
     }
-    // Arrival indices are unique per request, so sorting by index is a
-    // total order — the record vector is identical for any shard count.
-    std::sort(out.requests.begin(), out.requests.end(),
-              [](const RequestRecord& a, const RequestRecord& b) {
-                return a.index < b.index;
-              });
+    // Every request ends in exactly one record, and arrival indices are
+    // unique in [0, offered): swap each record into the slot its index
+    // names, which also proves the indices a permutation. The vector is
+    // then in index order, identical for any shard count.
+    require(out.requests.size() == out.offered,
+            "simulate_traffic: request records do not match offered");
+    for (std::size_t i = 0; i < out.requests.size(); ++i) {
+      while (out.requests[i].index != i) {
+        const std::uint64_t j = out.requests[i].index;
+        require(j < out.requests.size() && out.requests[j].index != j,
+                "simulate_traffic: request record indices are not a "
+                "permutation");
+        std::swap(out.requests[i], out.requests[j]);
+      }
+    }
   }
-
-  out.wait = LatencySummary::from_samples(all_wait);
-  out.service = LatencySummary::from_samples(all_service);
-  out.sojourn = LatencySummary::from_samples(all_sojourn);
 
   Watts idle_floor{0.0};
   for (const Node* n : merged_nodes) idle_floor += n->idle;
@@ -1493,6 +1481,16 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     }
     out.classes.push_back(std::move(st));
   }
+  // from_samples left each class's samples sorted; the overall summaries
+  // merge-walk those runs instead of sorting a second copy.
+  const auto overall = [&per_class](std::vector<double> ClassSamples::*kind) {
+    std::vector<std::span<const double>> runs;
+    for (const ClassSamples& cs : per_class) runs.emplace_back(cs.*kind);
+    return LatencySummary::from_sorted_runs(runs);
+  };
+  out.wait = overall(&ClassSamples::wait);
+  out.service = overall(&ClassSamples::service);
+  out.sojourn = overall(&ClassSamples::sojourn);
 
   // Per node type (dispatch-result convention: busy fraction is averaged
   // over the nodes of the type).

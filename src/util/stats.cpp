@@ -59,21 +59,35 @@ double RunningStats::max() const {
   return max_;
 }
 
+double PercentileRank::value(double at_lo, double at_hi) const {
+  if (hi == lo) return at_lo;
+  return at_lo + frac * (at_hi - at_lo);
+}
+
+PercentileRank percentile_rank(std::size_t n, double p) {
+  require(n > 0, "percentile: no samples");
+  require(p >= 0.0 && p <= 100.0, "percentile: p out of [0, 100]");
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
+  PercentileRank r;
+  r.lo = static_cast<std::size_t>(rank);
+  r.hi = std::min(r.lo + 1, n - 1);
+  r.frac = rank - static_cast<double>(r.lo);
+  return r;
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  const PercentileRank r = percentile_rank(sorted.size(), p);
+  return r.value(sorted[r.lo], sorted[r.hi]);
+}
+
 double percentile(std::span<const double> samples, double p) {
   std::vector<double> copy(samples.begin(), samples.end());
   return percentile_inplace(copy, p);
 }
 
 double percentile_inplace(std::vector<double>& samples, double p) {
-  require(!samples.empty(), "percentile: no samples");
-  require(p >= 0.0 && p <= 100.0, "percentile: p out of [0, 100]");
   std::sort(samples.begin(), samples.end());
-  if (samples.size() == 1) return samples.front();
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] + frac * (samples[hi] - samples[lo]);
+  return percentile_sorted(samples, p);
 }
 
 P2Quantile::P2Quantile(double q) : q_(q) {

@@ -67,10 +67,10 @@ Workload make_workload(const std::string& program,
   const auto units = static_cast<std::uint64_t>(std::llround(
       static_cast<double>(base_units) * std::max(options.units_factor, 0.01)));
 
+  const kernels::OpCounts totals = run_characterization(
+      *kernel, std::max<std::uint64_t>(units, 1), options.seed);
   for (const hw::NodeSpec& node : nodes) {
-    w.demand[node.name] =
-        characterize(*kernel, node, std::max<std::uint64_t>(units, 1),
-                     options.seed);
+    w.demand[node.name] = demand_from_run(totals, node);
     if (options.calibrate) {
       if (const auto target = paper_target(program, node.name)) {
         calibrate_node(w, node, *target);

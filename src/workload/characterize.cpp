@@ -21,27 +21,28 @@ NodeDemand demand_from_counts(const kernels::OpCounts& per_unit,
   return d;
 }
 
-NodeDemand characterize(kernels::Kernel& kernel, const hw::NodeSpec& node,
-                        std::uint64_t units, std::uint64_t seed) {
+kernels::OpCounts run_characterization(kernels::Kernel& kernel,
+                                       std::uint64_t units,
+                                       std::uint64_t seed) {
   require(units > 0, "characterize: need at least one work unit");
   Rng rng(seed);
-  const kernels::KernelResult result = kernel.run(units, rng);
-  require(result.counts.work_units > 0,
-          "characterize: kernel reported no work");
+  return kernel.run(units, rng).counts;
+}
+
+NodeDemand demand_from_run(const kernels::OpCounts& totals,
+                           const hw::NodeSpec& node) {
+  require(totals.work_units > 0, "characterize: kernel reported no work");
   // Use exact per-unit averages (double precision) rather than the
   // truncated integer per_unit() to avoid quantization on small runs.
-  const double n = static_cast<double>(result.counts.work_units);
-  kernels::OpCounts avg;
-  avg.int_ops = result.counts.int_ops;
-  avg.fp_ops = result.counts.fp_ops;
-  avg.branch_ops = result.counts.branch_ops;
-  avg.crypto_ops = result.counts.crypto_ops;
-  avg.mem_traffic = result.counts.mem_traffic;
-  avg.io_bytes = result.counts.io_bytes;
-  avg.work_units = 1;
+  kernels::OpCounts sums = totals;
+  sums.work_units = 1;
+  return demand_from_counts(sums, node)
+      .scaled(1.0 / static_cast<double>(totals.work_units));
+}
 
-  NodeDemand total = demand_from_counts(avg, node);
-  return total.scaled(1.0 / n);
+NodeDemand characterize(kernels::Kernel& kernel, const hw::NodeSpec& node,
+                        std::uint64_t units, std::uint64_t seed) {
+  return demand_from_run(run_characterization(kernel, units, seed), node);
 }
 
 std::uint64_t default_characterization_units(const std::string& program) {

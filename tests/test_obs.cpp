@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,6 +55,46 @@ TEST(MetricsRegistry, CounterSumsExactlyUnderConcurrentWriters) {
   const obs::HistogramSnapshot* h = snap.histogram("lat");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, kThreads * kIncrements);
+}
+
+TEST(MetricsRegistry, ThreadCacheStaysBoundedAcrossRegistryChurn) {
+  // Every registry a thread writes to enters its shard cache; dead ones
+  // must age out, and a registry reusing a dead one's address must
+  // never see its shard.
+  for (int i = 0; i < 10000; ++i) {
+    obs::MetricsRegistry reg(4);
+    const obs::MetricId c = reg.counter("c");
+    reg.add(c, static_cast<std::uint64_t>(i));
+    ASSERT_EQ(reg.snapshot().counter("c"), static_cast<std::uint64_t>(i));
+    ASSERT_LE(obs::MetricsRegistry::thread_cache_size(),
+              obs::MetricsRegistry::kThreadCacheCapacity);
+  }
+  obs::MetricsRegistry fresh;
+  const obs::MetricId c = fresh.counter("c");
+  for (int i = 0; i < 1000; ++i) fresh.add(c);
+  EXPECT_EQ(fresh.snapshot().counter("c"), 1000u);
+  EXPECT_LE(obs::MetricsRegistry::thread_cache_size(),
+            obs::MetricsRegistry::kThreadCacheCapacity);
+}
+
+TEST(MetricsRegistry, EvictedRegistriesKeepCountingExactly) {
+  // More live registries than cache entries, written round-robin so
+  // every write misses: each registry finds this thread's shard again
+  // through its own shard list, and a second thread gets its own.
+  constexpr std::size_t kLive =
+      2 * obs::MetricsRegistry::kThreadCacheCapacity + 1;
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> regs;
+  for (std::size_t r = 0; r < kLive; ++r)
+    regs.push_back(std::make_unique<obs::MetricsRegistry>(4));
+  for (int round = 0; round < 50; ++round)
+    for (auto& reg : regs) reg->add(reg->counter("c"));
+  std::thread other([&] {
+    for (auto& reg : regs) reg->add(reg->counter("c"), 7);
+  });
+  other.join();
+  for (auto& reg : regs) EXPECT_EQ(reg->snapshot().counter("c"), 57u);
+  EXPECT_EQ(obs::MetricsRegistry::thread_cache_size(),
+            obs::MetricsRegistry::kThreadCacheCapacity);
 }
 
 TEST(MetricsRegistry, HistogramBucketBoundariesAreInclusiveUpperEdges) {

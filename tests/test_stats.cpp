@@ -74,8 +74,20 @@ TEST(Percentile, SingleSample) {
 TEST(Percentile, Validation) {
   std::vector<double> empty;
   EXPECT_THROW((void)percentile(empty, 50.0), PreconditionError);
+  EXPECT_THROW((void)percentile_sorted(empty, 50.0), PreconditionError);
   std::vector<double> v{1.0};
   EXPECT_THROW((void)percentile(v, 101.0), PreconditionError);
+  EXPECT_THROW((void)percentile_sorted(v, -1.0), PreconditionError);
+}
+
+TEST(Percentile, SortedInputReadsTheSameRanks) {
+  const std::vector<double> sorted{1.0, 2.0, 3.0, 4.0};
+  EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 25.0), 1.75);
+  EXPECT_DOUBLE_EQ(percentile_sorted(sorted, 100.0), 4.0);
+  const PercentileRank r = percentile_rank(sorted.size(), 50.0);
+  EXPECT_EQ(r.lo, 1u);
+  EXPECT_EQ(r.hi, 2u);
+  EXPECT_DOUBLE_EQ(r.frac, 0.5);
 }
 
 TEST(P2Quantile, ExactBelowFiveSamples) {

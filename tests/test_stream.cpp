@@ -182,6 +182,35 @@ TEST(QuantileSketch, DeterministicForAFixedInsertSequence) {
     EXPECT_DOUBLE_EQ(a.quantile(q), b.quantile(q));
 }
 
+TEST(QuantileSketch, RangeGrowthTowardEitherEndIsOrderIndependent) {
+  // Ascending input widens the range only upward, descending only
+  // downward, and outside-in from both ends; all three must land on
+  // the same buckets, including across a forced escalation.
+  for (const double eps : {0.005, 1e-6}) {
+    std::vector<double> values;
+    for (int i = 1; i <= 3000; ++i) values.push_back(1e-3 * i * i);
+    for (const double v : std::vector<double>(values)) values.push_back(-v);
+    QuantileSketch up{eps};
+    QuantileSketch down{eps};
+    QuantileSketch outside_in{eps};
+    std::sort(values.begin(), values.end());
+    for (const double v : values) up.insert(v);
+    for (auto it = values.rbegin(); it != values.rend(); ++it) down.insert(*it);
+    for (std::size_t lo = 0, hi = values.size(); lo < hi;) {
+      outside_in.insert(values[lo++]);
+      if (lo < hi) outside_in.insert(values[--hi]);
+    }
+    EXPECT_EQ(up.buckets(), down.buckets());
+    EXPECT_EQ(up.buckets(), outside_in.buckets());
+    EXPECT_EQ(up.epsilon(), down.epsilon());
+    EXPECT_EQ(up.epsilon(), outside_in.epsilon());
+    for (const double q : {0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0}) {
+      EXPECT_EQ(up.quantile(q), down.quantile(q)) << eps << " q=" << q;
+      EXPECT_EQ(up.quantile(q), outside_in.quantile(q)) << eps << " q=" << q;
+    }
+  }
+}
+
 // ------------------------------------------------------------- collector
 
 /// One class ("A9", 2 nodes, 10 W idle floor), 1 s windows. Every number

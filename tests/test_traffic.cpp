@@ -4,8 +4,12 @@
 // waiting/response statistics must match queueing::MD1's closed forms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,6 +20,7 @@
 #include "hcep/traffic/arrivals.hpp"
 #include "hcep/traffic/simulate.hpp"
 #include "hcep/util/error.hpp"
+#include "hcep/util/rng.hpp"
 #include "hcep/workload/catalog.hpp"
 
 namespace {
@@ -148,6 +153,158 @@ TEST(Traffic, ObsCountersLedgerTheRun) {
   EXPECT_EQ(h->count, r.completed);
 }
 #endif
+
+// ------------------------------------------------------ exact summaries
+
+/// The pre-merge algorithm, kept as the oracle: sort the concatenation,
+/// sum in sorted order, and take each percentile by sorting a copy and
+/// interpolating between closest ranks, written out here so the oracle
+/// shares no code with percentile_sorted.
+LatencySummary reference_summary(std::vector<double> samples) {
+  const auto percentile_of_copy = [](std::vector<double> copy, double p) {
+    std::sort(copy.begin(), copy.end());
+    if (copy.size() == 1) return copy.front();
+    const double rank = p / 100.0 * static_cast<double>(copy.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, copy.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return copy[lo] + frac * (copy[hi] - copy[lo]);
+  };
+  LatencySummary out;
+  out.count = samples.size();
+  if (samples.empty()) return out;
+  std::sort(samples.begin(), samples.end());
+  double sum = 0.0;
+  for (const double v : samples) sum += v;
+  out.mean = Seconds{sum / static_cast<double>(samples.size())};
+  out.p50 = Seconds{percentile_of_copy(samples, 50.0)};
+  out.p95 = Seconds{percentile_of_copy(samples, 95.0)};
+  out.p99 = Seconds{percentile_of_copy(samples, 99.0)};
+  out.max = Seconds{samples.back()};
+  return out;
+}
+
+void expect_bit_identical(const LatencySummary& got,
+                          const LatencySummary& want,
+                          const std::string& what) {
+  const auto bits = [](Seconds s) {
+    return std::bit_cast<std::uint64_t>(s.value());
+  };
+  EXPECT_EQ(got.count, want.count) << what;
+  EXPECT_EQ(bits(got.mean), bits(want.mean)) << what;
+  EXPECT_EQ(bits(got.p50), bits(want.p50)) << what;
+  EXPECT_EQ(bits(got.p95), bits(want.p95)) << what;
+  EXPECT_EQ(bits(got.p99), bits(want.p99)) << what;
+  EXPECT_EQ(bits(got.max), bits(want.max)) << what;
+}
+
+/// Sorts every run, then checks from_sorted_runs and from_samples (on
+/// the concatenation) against the oracle.
+void check_runs(std::vector<std::vector<double>> runs,
+                const std::string& what) {
+  std::vector<double> all;
+  for (auto& r : runs) {
+    all.insert(all.end(), r.begin(), r.end());
+    std::sort(r.begin(), r.end());
+  }
+  const LatencySummary want = reference_summary(all);
+  const std::vector<std::span<const double>> views(runs.begin(), runs.end());
+  expect_bit_identical(LatencySummary::from_sorted_runs(views), want,
+                       what + " (runs)");
+  expect_bit_identical(LatencySummary::from_samples(all), want,
+                       what + " (samples)");
+  EXPECT_TRUE(std::is_sorted(all.begin(), all.end())) << what;
+}
+
+TEST(LatencySummaryTest, SortedRunsMatchTheSortedConcatenation) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    // 1-12 runs, some empty, with exponential, duplicate-heavy and
+    // zero-heavy values.
+    const std::size_t k = 1 + rng.uniform_int(12);
+    std::vector<std::vector<double>> runs(k);
+    for (auto& r : runs) {
+      const std::size_t n =
+          rng.uniform_int(4) == 0 ? 0 : rng.uniform_int(300);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (trial % 3 == 0)
+          r.push_back(rng.exponential(3.0));
+        else if (trial % 3 == 1)
+          r.push_back(static_cast<double>(rng.uniform_int(5)) * 0.1);
+        else
+          r.push_back(rng.uniform_int(3) == 0 ? 0.0 : rng.uniform01());
+      }
+    }
+    check_runs(std::move(runs), "trial " + std::to_string(trial));
+  }
+}
+
+TEST(LatencySummaryTest, EdgeCases) {
+  check_runs({}, "no runs");
+  check_runs({{}, {}}, "empty runs");
+  check_runs({{4.25}}, "one sample");
+  check_runs({{}, {0.5}, {}}, "one sample among empty runs");
+  check_runs({{0.0, 0.0}, {0.0}}, "all zeros");
+  check_runs({{2.0, 2.0, 2.0}, {2.0, 2.0}}, "all duplicates");
+  check_runs({{1.0, 3.0}, {2.0}, {0.0, 3.0, 3.0}}, "interleaved ties");
+  std::vector<double> none;
+  EXPECT_EQ(LatencySummary::from_samples(none).count, 0u);
+}
+
+TEST(LatencySummaryTest, UnsortedRunIsRejected) {
+  const std::vector<double> ascending = {0.5, 1.0};
+  const std::vector<double> descending = {2.0, 1.0};
+  const std::vector<std::span<const double>> runs = {ascending, descending};
+  EXPECT_THROW((void)LatencySummary::from_sorted_runs(runs),
+               PreconditionError);
+}
+
+TEST(Traffic, SojournSummariesMatchTheRequestRecords) {
+  // Bursty two-class overload with token bucket, queue shedding and
+  // retries: the global and per-class sojourn summaries must equal an
+  // exact summary over the completed requests' recorded sojourns, and
+  // the records must come back in arrival-index order.
+  const auto cluster = model::make_a9_k10_cluster(6, 3);
+  const std::vector<TrafficClass> classes = {
+      TrafficClass{wl("memcached"), 0.8, SloTarget{}},
+      TrafficClass{wl("x264"), 0.2, SloTarget{}}};
+  const double cap = cluster_capacity_per_s(cluster, classes);
+  TrafficOptions options;
+  options.requests = 20000;
+  options.seed = 5;
+  options.admission.bucket_rate_per_s = cap;
+  options.admission.bucket_burst = 16.0;
+  options.admission.max_queue_depth = 12;
+  options.retry.max_attempts = 3;
+  options.retry.base_backoff = Seconds{20.0 / cap};
+  options.record_requests = true;
+  const auto arrivals = make_bursty(0.6 * cap, Seconds{400.0 / cap},
+                                    1.8 * cap, Seconds{100.0 / cap});
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    options.shards = shards;
+    const auto r = simulate_traffic(cluster, classes, *arrivals, options);
+    ASSERT_GT(r.shed_bucket, 0u);
+    ASSERT_GT(r.shed_queue, 0u);
+    ASSERT_GT(r.retries, 0u);
+    ASSERT_GT(r.failed, 0u);
+    ASSERT_EQ(r.requests.size(), r.offered);
+    std::vector<double> all;
+    std::vector<std::vector<double>> per_class(classes.size());
+    for (std::size_t i = 0; i < r.requests.size(); ++i) {
+      const RequestRecord& q = r.requests[i];
+      ASSERT_EQ(q.index, i);
+      if (q.failed != 0) continue;
+      all.push_back(q.sojourn.value());
+      per_class[q.cls].push_back(q.sojourn.value());
+    }
+    const std::string what = "shards=" + std::to_string(shards);
+    expect_bit_identical(r.sojourn, LatencySummary::from_samples(all), what);
+    for (std::size_t c = 0; c < classes.size(); ++c)
+      expect_bit_identical(r.classes[c].sojourn,
+                           LatencySummary::from_samples(per_class[c]),
+                           what + " class " + std::to_string(c));
+  }
+}
 
 // ------------------------------------------------------ admission control
 

@@ -170,6 +170,27 @@ TEST(Catalog, BuildsAllSixWithBothNodes) {
   }
 }
 
+TEST(Catalog, OneKernelRunMatchesPerNodeCharacterization) {
+  // make_workload runs each kernel once and maps the counts onto every
+  // node; that must equal a fresh characterize() per node, bit for bit.
+  CatalogOptions opts;
+  opts.calibrate = false;
+  opts.nodes = {hw::cortex_a9(), hw::opteron_k10(), hw::xeon_e5()};
+  for (const std::string& program : program_names()) {
+    const Workload w = make_workload(program, opts);
+    for (const hw::NodeSpec& node : opts.nodes) {
+      const auto kernel = kernels::make_kernel(program);
+      const NodeDemand want = characterize(
+          *kernel, node, default_characterization_units(program), opts.seed);
+      const NodeDemand& got = w.demand.at(node.name);
+      EXPECT_EQ(got.cycles_core, want.cycles_core) << program << node.name;
+      EXPECT_EQ(got.cycles_mem, want.cycles_mem) << program << node.name;
+      EXPECT_EQ(got.io_bytes.value(), want.io_bytes.value())
+          << program << node.name;
+    }
+  }
+}
+
 TEST(Catalog, WorkUnitsMatchTable6) {
   const std::map<std::string, std::string> expected = {
       {"EP", "random no."},   {"memcached", "bytes"},
