@@ -64,8 +64,14 @@ double PiecewiseCurve::at_phase(double u) const {
     const double vb = knots_.front().second;
     return va + (vb - va) * (u - a) / (b - a);
   }
-  std::size_t i = 0;
-  while (i + 1 < knots_.size() && knots_[i + 1].first.value() <= u) ++i;
+  // Last knot at or before u: one before the first knot after it (u >=
+  // t0 here, so that knot is never the first).
+  const auto after = std::upper_bound(
+      knots_.begin(), knots_.end(), u,
+      [](double x, const std::pair<Seconds, double>& k) {
+        return x < k.first.value();
+      });
+  const auto i = static_cast<std::size_t>(after - knots_.begin()) - 1;
   if (i + 1 == knots_.size()) {
     // Wrap segment to the right: last -> (first + period).
     const double a = knots_.back().first.value();
@@ -84,8 +90,10 @@ double PiecewiseCurve::at_phase(double u) const {
 
 double PiecewiseCurve::at(Seconds t) const {
   require(t.value() >= 0.0, "PiecewiseCurve: negative time");
-  const double u = std::fmod(t.value(), period_.value());
-  return at_phase(u);
+  // fmod is exact and returns t itself inside the first period, where
+  // most lookups fall; skip the call there.
+  const double p = period_.value();
+  return at_phase(t.value() < p ? t.value() : std::fmod(t.value(), p));
 }
 
 double PiecewiseCurve::mean() const { return period_area_ / period_.value(); }

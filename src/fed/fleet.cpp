@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <span>
 #include <utility>
 
 #include "hcep/obs/obs.hpp"
@@ -17,31 +17,47 @@ namespace {
 
 constexpr double kJoulesPerKwh = 3.6e6;
 
-/// One generated-and-merged fleet arrival before routing.
-struct FleetArrival {
-  Seconds t{};
-  std::uint32_t origin = 0;
-  std::uint32_t cls = 0;
+/// One routed arrival on its way to the target's stream: the landing
+/// instant and class, plus the fleet index the end-to-end join keys on.
+struct Landing {
+  traffic::Arrival arrival;
+  std::uint64_t index = 0;
+};
+
+/// One site's share of one class's end-to-end ledger, joined inside the
+/// site's task: counts, the transit of each completion in record order
+/// (the fold sums them serially, site by site, so the fleet mean keeps
+/// its summation order) and the completions' e2e samples, sorted.
+struct ClassJoin {
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t slo_violations = 0;
+  std::vector<Seconds> transits;
+  std::vector<double> e2e;
 };
 
 /// Per-origin generation: clone the site's process, drive it with the
 /// origin's split of the fleet seed, draw the arrival instant first and
 /// the class coin second (a fixed draw order is part of the determinism
-/// contract). Streams are then merged by time with origin index as the
-/// tie-break (concatenation order + stable sort).
-std::vector<FleetArrival> generate_arrivals(
+/// contract). Each origin reads only its own process and RNG, so the
+/// origins generate concurrently when `concurrent`. A process never
+/// steps back in time, so each stream comes out ascending; one that
+/// does not is stable-sorted on its own. The caller k-way merges the
+/// streams by time with ties to the lower origin, which is exactly a
+/// stable sort of their origin-ordered concatenation.
+std::vector<std::vector<traffic::Arrival>> generate_arrivals(
     const std::vector<Site>& sites,
     const std::vector<traffic::TrafficClass>& classes,
-    const FleetOptions& options) {
+    const FleetOptions& options, bool concurrent) {
   double total_weight = 0.0;
   for (const auto& c : classes) {
     require(c.weight > 0.0, "simulate_fleet: class weights must be positive");
     total_weight += c.weight;
   }
-  std::vector<FleetArrival> merged;
-  merged.reserve(sites.size() * static_cast<std::size_t>(
-                                    options.requests_per_site));
-  for (std::size_t o = 0; o < sites.size(); ++o) {
+  std::vector<std::vector<traffic::Arrival>> streams(sites.size());
+  const auto generate = [&](std::size_t o) {
+    std::vector<traffic::Arrival>& stream = streams[o];
+    stream.reserve(static_cast<std::size_t>(options.requests_per_site));
     auto gen = sites[o].arrivals->clone();
     Rng rng = Rng(options.seed).split(static_cast<unsigned>(o));
     Seconds t{0.0};
@@ -55,18 +71,19 @@ std::vector<FleetArrival> generate_arrivals(
         if (coin < 0.0) break;
         ++cls;
       }
-      merged.push_back(
-          FleetArrival{t, static_cast<std::uint32_t>(o), cls});
+      stream.push_back(traffic::Arrival{t, cls});
     }
-  }
-  const auto by_time = [](const FleetArrival& a, const FleetArrival& b) {
-    return a.t < b.t;
+    const auto by_time = [](const traffic::Arrival& a,
+                            const traffic::Arrival& b) { return a.t < b.t; };
+    if (!std::is_sorted(stream.begin(), stream.end(), by_time))
+      std::stable_sort(stream.begin(), stream.end(), by_time);
   };
-  // Single-origin streams (and degenerate multi-origin ones) are already
-  // in time order; the check is one linear pass vs an n log n sort.
-  if (!std::is_sorted(merged.begin(), merged.end(), by_time))
-    std::stable_sort(merged.begin(), merged.end(), by_time);
-  return merged;
+  if (concurrent) {
+    parallel_for(0, sites.size(), generate, 1);
+  } else {
+    for (std::size_t o = 0; o < sites.size(); ++o) generate(o);
+  }
+  return streams;
 }
 
 }  // namespace
@@ -168,62 +185,81 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
   // ledgers fold directly from the site's per-class stats instead.
   const bool solo = n == 1;
 
-  // Phase A: generate regional streams, merge, route globally.
-  const std::vector<FleetArrival> merged =
-      generate_arrivals(sites, classes, options);
+  // Phase A: generate regional streams, merge them by time, route
+  // globally. A routed arrival lands in its (target, origin) run.
+  const bool concurrent = options.shards > 1 && n > 1;
+  std::vector<std::vector<traffic::Arrival>> streams =
+      generate_arrivals(sites, classes, options, concurrent);
+  std::size_t offered = 0;
+  for (const auto& stream : streams) offered += stream.size();
   GlobalRouter router(sites, network, classes, options.router);
   std::vector<std::vector<traffic::Arrival>> assigned(n);
   std::vector<std::vector<std::uint64_t>> fleet_index(n);
+  std::vector<std::vector<Landing>> runs;
   if (solo) {
-    assigned[0].reserve(merged.size());
-    for (const FleetArrival& a : merged)
-      assigned[0].push_back(traffic::Arrival{a.t, a.cls});
+    assigned[0] = std::move(streams[0]);
   } else {
-    router.reserve(merged.size());
-    for (std::size_t s = 0; s < n; ++s) {
-      assigned[s].reserve(merged.size() / n + merged.size() / 8 + 64);
-      fleet_index[s].reserve(merged.size() / n + merged.size() / 8 + 64);
+    router.reserve(offered);
+    runs.resize(n * n);
+    std::vector<std::size_t> head(n, 0);
+    for (std::size_t k = 0; k < offered; ++k) {
+      std::size_t o = n;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (head[j] == streams[j].size()) continue;
+        if (o == n || streams[j][head[j]].t < streams[o][head[o]].t) o = j;
+      }
+      const traffic::Arrival& a = streams[o][head[o]++];
+      const Assignment asg = router.route(o, a.cls, a.t);
+      runs[asg.target * n + o].push_back(
+          Landing{traffic::Arrival{asg.t + asg.transit, asg.cls}, asg.index});
     }
-    for (const FleetArrival& a : merged) {
-      const Assignment asg = router.route(a.origin, a.cls, a.t);
-      assigned[asg.target].push_back(
-          traffic::Arrival{asg.t + asg.transit, asg.cls});
-      fleet_index[asg.target].push_back(asg.index);
-    }
+    streams = {};
   }
-  // Differing transits can reorder landings at a target; sort each
-  // site's stream by landing time, keeping fleet order on ties, and
-  // carry the fleet-index join column through the same permutation.
-  for (std::size_t s = 0; s < n; ++s) {
-    std::vector<traffic::Arrival>& stream = assigned[s];
-    if (std::is_sorted(stream.begin(), stream.end(),
-                       [](const traffic::Arrival& a,
-                          const traffic::Arrival& b) { return a.t < b.t; }))
-      continue;
-    std::vector<std::size_t> order(stream.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&stream](std::size_t a, std::size_t b) {
-                       return stream[a].t < stream[b].t;
-                     });
-    std::vector<traffic::Arrival> sorted_stream(stream.size());
-    std::vector<std::uint64_t> sorted_index(stream.size());
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      sorted_stream[k] = stream[order[k]];
-      sorted_index[k] = fleet_index[s][order[k]];
+
+  // Differing transits can reorder landings at a target. Transit is
+  // constant per (origin, target) pair, so each (target, origin) run is
+  // already ascending by landing time; merging the runs keyed by
+  // (landing time, fleet index) yields the stable sort of the target's
+  // fleet-ordered stream, and builds the fleet-index join column.
+  const auto land = [&](std::size_t s) {
+    const std::vector<Landing>* in = runs.data() + s * n;
+    std::size_t total = 0;
+    for (std::size_t o = 0; o < n; ++o) total += in[o].size();
+    assigned[s].reserve(total);
+    fleet_index[s].reserve(total);
+    std::vector<std::size_t> head(n, 0);
+    for (std::size_t k = 0; k < total; ++k) {
+      const Landing* best = nullptr;
+      std::size_t from = 0;
+      for (std::size_t o = 0; o < n; ++o) {
+        if (head[o] == in[o].size()) continue;
+        const Landing& l = in[o][head[o]];
+        if (best == nullptr || l.arrival.t < best->arrival.t ||
+            (l.arrival.t == best->arrival.t && l.index < best->index)) {
+          best = &l;
+          from = o;
+        }
+      }
+      ++head[from];
+      assigned[s].push_back(best->arrival);
+      fleet_index[s].push_back(best->index);
     }
-    stream = std::move(sorted_stream);
-    fleet_index[s] = std::move(sorted_index);
-  }
+    for (std::size_t o = 0; o < n; ++o) runs[s * n + o] = {};
+  };
 
   // Phase B: replay each site's share on its own cluster. Each run is a
   // deterministic single-shard simulation; options.shards only decides
-  // whether the independent runs execute serially or on the pool.
+  // whether the independent runs execute serially or on the pool. Each
+  // task also joins its terminal request records back to the routing
+  // log (record index -> fleet index -> assignment) and judges SLOs on
+  // transit + sojourn.
   std::vector<traffic::TrafficResult> results(n);
+  std::vector<std::vector<ClassJoin>> joins(n);
 #if HCEP_OBS
   std::vector<obs::MetricsSnapshot> snapshots(n);
 #endif
   const auto run_site = [&](std::size_t s) {
+    if (!solo) land(s);
     traffic::TrafficOptions site_options;
     site_options.policy = options.policy;
     site_options.admission = options.admission;
@@ -245,8 +281,26 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
 #if HCEP_OBS
     snapshots[s] = local.metrics.snapshot();
 #endif
+    if (solo) return;
+    std::vector<ClassJoin>& join = joins[s];
+    join.resize(classes.size());
+    for (const traffic::RequestRecord& rec : results[s].requests) {
+      ClassJoin& cj = join[rec.cls];
+      if (rec.failed != 0) {
+        ++cj.failed;
+        continue;
+      }
+      const Assignment& asg = router.assignments()[fleet_index[s][rec.index]];
+      const Seconds e2e = asg.transit + rec.sojourn;
+      ++cj.completed;
+      cj.transits.push_back(asg.transit);
+      cj.e2e.push_back(e2e.value());
+      const traffic::SloTarget& slo = classes[rec.cls].slo;
+      if (slo.enabled() && e2e > slo.latency) ++cj.slo_violations;
+    }
+    for (ClassJoin& cj : join) std::sort(cj.e2e.begin(), cj.e2e.end());
   };
-  if (options.shards > 1 && n > 1) {
+  if (concurrent) {
     parallel_for(0, n, run_site, 1);
   } else {
     for (std::size_t s = 0; s < n; ++s) run_site(s);
@@ -256,13 +310,13 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
   FleetReport report;
   report.router_policy = route_policy_name(options.router.policy);
   report.seed = options.seed;
-  report.offered = static_cast<std::uint64_t>(merged.size());
+  report.offered = static_cast<std::uint64_t>(offered);
   for (std::size_t s = 0; s < n; ++s)
     report.horizon = std::max(report.horizon, results[s].makespan);
 
   report.routes.assign(n, std::vector<std::uint64_t>(n, 0));
   if (solo) {
-    report.routes[0][0] = static_cast<std::uint64_t>(merged.size());
+    report.routes[0][0] = static_cast<std::uint64_t>(offered);
   } else {
     for (const Assignment& a : router.assignments()) {
       ++report.routes[a.origin][a.target];
@@ -351,14 +405,12 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
     }
   }
 
-  // Per-class end-to-end ledgers: join each site's terminal request
-  // records back to the routing log (record index -> fleet index ->
-  // assignment) and judge SLOs on transit + sojourn. Sites are folded
-  // in index order, records in arrival order — a fixed fold order, so
-  // the ledger is deterministic.
+  // Per-class end-to-end ledgers from the per-site joins. Sites fold in
+  // index order and transits sum in record order — a fixed fold order,
+  // so the ledger is deterministic. The e2e summaries merge the per-site
+  // sorted samples, which is bit-identical to summarizing their
+  // concatenation.
   report.classes.resize(classes.size());
-  std::vector<std::vector<double>> e2e_samples(classes.size());
-  std::vector<Seconds> transit_sum(classes.size());
   for (std::size_t c = 0; c < classes.size(); ++c) {
     FleetClassLedger& ledger = report.classes[c];
     ledger.name = report.sites.front().result.classes.size() > c
@@ -378,31 +430,22 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
       ledger.e2e = stats[c].sojourn;
     }
   } else {
-    for (std::size_t s = 0; s < n; ++s) {
-      const auto& records = report.sites[s].result.requests;
-      for (const traffic::RequestRecord& rec : records) {
-        const Assignment& asg =
-            router.assignments()[fleet_index[s][rec.index]];
-        FleetClassLedger& ledger = report.classes[rec.cls];
-        if (rec.failed != 0) {
-          ++ledger.failed;
-          continue;
-        }
-        ++ledger.completed;
-        const Seconds e2e = asg.transit + rec.sojourn;
-        transit_sum[rec.cls] += asg.transit;
-        e2e_samples[rec.cls].push_back(e2e.value());
-        if (ledger.slo.enabled() && e2e > ledger.slo.latency)
-          ++ledger.slo_violations;
-      }
-    }
+    std::vector<std::span<const double>> e2e_runs(n);
     for (std::size_t c = 0; c < classes.size(); ++c) {
       FleetClassLedger& ledger = report.classes[c];
+      Seconds transit_sum{0.0};
+      for (std::size_t s = 0; s < n; ++s) {
+        const ClassJoin& cj = joins[s][c];
+        ledger.completed += cj.completed;
+        ledger.failed += cj.failed;
+        ledger.slo_violations += cj.slo_violations;
+        for (const Seconds transit : cj.transits) transit_sum += transit;
+        e2e_runs[s] = cj.e2e;
+      }
       if (ledger.completed > 0)
-        ledger.mean_transit =
-            Seconds{transit_sum[c].value() /
-                    static_cast<double>(ledger.completed)};
-      ledger.e2e = traffic::LatencySummary::from_samples(e2e_samples[c]);
+        ledger.mean_transit = Seconds{transit_sum.value() /
+                                      static_cast<double>(ledger.completed)};
+      ledger.e2e = traffic::LatencySummary::from_sorted_runs(e2e_runs);
     }
   }
 

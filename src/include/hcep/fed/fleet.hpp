@@ -14,8 +14,8 @@
 //
 // Determinism contract: for a fixed (scenario, FleetOptions::seed) the
 // FleetReport JSON is byte-identical across runs and across
-// FleetOptions::shards values — shards only controls how many site
-// simulations run concurrently; each site's simulation is an
+// FleetOptions::shards values — shards only controls whether sites
+// generate and simulate concurrently; each site's simulation is an
 // independent deterministic single-shard run either way
 // (tests/test_fed.cpp and the `hcep selftest fed` smoke pin this).
 #pragma once
@@ -39,9 +39,10 @@ struct FleetOptions {
   /// demand volume, before routing moves any of it).
   std::uint64_t requests_per_site = 10000;
   std::uint64_t seed = 1;
-  /// Site simulations to run concurrently (thread-pool fan-out).
-  /// Results are byte-identical for every value — unlike
-  /// TrafficOptions::shards this knob never partitions an event loop.
+  /// Sites to run concurrently (thread-pool fan-out over per-origin
+  /// generation and per-site replay). Results are byte-identical for
+  /// every value — unlike TrafficOptions::shards this knob never
+  /// partitions an event loop.
   std::size_t shards = 1;
   RouterOptions router{};
   /// Per-site dispatch/admission/retry, shared across the fleet (the

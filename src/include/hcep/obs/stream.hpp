@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -238,8 +237,12 @@ class Collector {
   };
 
   /// Close windows whose end <= t (an event at exactly the boundary
-  /// lands in the new window). One compare on the fast path.
-  void roll_to(double t);
+  /// lands in the new window). One compare on the fast path, inline:
+  /// every hook calls it.
+  void roll_to(double t) {
+    if (t >= win_end_) roll_over(t);
+  }
+  void roll_over(double t);
   /// Accrue the deferred floor-power integral [cur_t_, t] into the
   /// current window. Called on window close, floor change and finalize
   /// only — never per request.
@@ -247,8 +250,12 @@ class Collector {
   void smear_service(std::uint32_t node_class, double start, double done,
                      Watts dynamic);
   void close_window();
-  Live& window_at(std::uint64_t index);
-  Live& open_window();
+  /// Window `index`, materializing it (and any before it) on first use.
+  Live& window_at(std::uint64_t index) {
+    return index < live_.size() ? live_[index] : grow_to(index);
+  }
+  Live& grow_to(std::uint64_t index);
+  Live& open_window() { return window_at(cur_index_); }
 
   StreamOptions options_;
   std::vector<NodeClassInfo> node_classes_;
@@ -314,6 +321,8 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = 1u << 16);
 
+  /// Evicts the oldest record once capacity() are held. Allocates only
+  /// while the ring grows toward capacity (the engine appends per tick).
   void append(DecisionRecord record);
   [[nodiscard]] std::size_t size() const { return records_.size(); }
   [[nodiscard]] bool empty() const { return records_.empty(); }
@@ -328,14 +337,24 @@ class FlightRecorder {
 
   /// Shard merge: records interleaved by (time, shard, tick) — stable
   /// and deterministic; drop counts sum; capacities sum so the merge
-  /// itself never evicts.
+  /// itself never evicts. Each shard's records must already be in that
+  /// order, as an engine appends them (throws PreconditionError
+  /// otherwise).
   [[nodiscard]] static FlightRecorder merge(
       const std::vector<const FlightRecorder*>& shards);
 
  private:
+  /// The i-th oldest record (i < size()).
+  [[nodiscard]] const DecisionRecord& record(std::size_t i) const {
+    const std::size_t slot = head_ + i;
+    return records_[slot < records_.size() ? slot : slot - records_.size()];
+  }
+
   std::size_t capacity_;
   std::uint64_t dropped_ = 0;
-  std::deque<DecisionRecord> records_;
+  /// Grows to capacity_, then wraps: head_ is the oldest record's slot.
+  std::vector<DecisionRecord> records_;
+  std::size_t head_ = 0;
 };
 
 /// Tolerances of a window-by-window timeline comparison. Counts compare

@@ -235,7 +235,7 @@ Collector::Collector(const StreamOptions& options,
   queued_.assign(node_classes_.size(), 0);
 }
 
-Collector::Live& Collector::window_at(std::uint64_t index) {
+Collector::Live& Collector::grow_to(std::uint64_t index) {
   while (live_.size() <= index) {
     const auto i = static_cast<std::uint64_t>(live_.size());
     Live lw{StreamWindow{}, QuantileSketch{options_.sketch_epsilon}};
@@ -247,8 +247,6 @@ Collector::Live& Collector::window_at(std::uint64_t index) {
   }
   return live_[index];
 }
-
-Collector::Live& Collector::open_window() { return window_at(cur_index_); }
 
 void Collector::close_window() {
   Live& lw = open_window();
@@ -272,7 +270,7 @@ void Collector::accrue_to(double t) {
   cur_t_ = t;
 }
 
-void Collector::roll_to(double t) {
+void Collector::roll_over(double t) {
   while (t >= win_end_) {
     accrue_to(win_end_);
     close_window();
@@ -658,20 +656,23 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}
 
 void FlightRecorder::append(DecisionRecord record) {
-  if (records_.size() == capacity_) {
-    records_.pop_front();
-    ++dropped_;
+  if (records_.size() < capacity_) {
+    records_.push_back(std::move(record));
+    return;
   }
-  records_.push_back(std::move(record));
+  records_[head_] = std::move(record);  // evict the oldest
+  head_ = head_ + 1 == records_.size() ? 0 : head_ + 1;
+  ++dropped_;
 }
 
 const DecisionRecord& FlightRecorder::at(std::size_t i) const {
   require(i < records_.size(), "FlightRecorder::at: index out of range");
-  return records_[i];
+  return record(i);
 }
 
 DecisionRecord* FlightRecorder::last() {
-  return records_.empty() ? nullptr : &records_.back();
+  if (records_.empty()) return nullptr;
+  return &records_[head_ == 0 ? records_.size() - 1 : head_ - 1];
 }
 
 JsonValue FlightRecorder::to_json() const {
@@ -682,33 +683,52 @@ JsonValue FlightRecorder::to_json() const {
           JsonValue::number(static_cast<std::int64_t>(capacity_)));
   doc.set("dropped", JsonValue::number(static_cast<std::int64_t>(dropped_)));
   JsonValue rows = JsonValue::array();
-  for (const DecisionRecord& r : records_) rows.push(r.to_json());
+  for (std::size_t i = 0; i < records_.size(); ++i)
+    rows.push(record(i).to_json());
   doc.set("records", std::move(rows));
   return doc;
 }
 
 FlightRecorder FlightRecorder::merge(
     const std::vector<const FlightRecorder*>& shards) {
+  const auto before = [](const DecisionRecord& a, const DecisionRecord& b) {
+    if (a.t.value() != b.t.value()) return a.t.value() < b.t.value();
+    if (a.shard != b.shard) return a.shard < b.shard;
+    return a.tick < b.tick;
+  };
   std::size_t capacity = 0;
+  std::size_t total = 0;
   std::uint64_t dropped = 0;
-  std::vector<DecisionRecord> all;
   for (const FlightRecorder* s : shards) {
     require(s != nullptr, "FlightRecorder::merge: null shard recorder");
+    for (std::size_t i = 1; i < s->size(); ++i)
+      require(!before(s->record(i), s->record(i - 1)),
+              "FlightRecorder::merge: shard records out of order");
     capacity += s->capacity_;
+    total += s->size();
     dropped += s->dropped_;
-    all.insert(all.end(), s->records_.begin(), s->records_.end());
   }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const DecisionRecord& a, const DecisionRecord& b) {
-                     if (a.t.value() != b.t.value()) {
-                       return a.t.value() < b.t.value();
-                     }
-                     if (a.shard != b.shard) return a.shard < b.shard;
-                     return a.tick < b.tick;
-                   });
   FlightRecorder out{std::max<std::size_t>(1, capacity)};
   out.dropped_ = dropped;
-  for (DecisionRecord& r : all) out.records_.push_back(std::move(r));
+  out.records_.reserve(total);
+  // Each shard is one ascending run, so a k-way merge with ties to the
+  // earlier recorder is the stable sort of the concatenation, and
+  // copies each record once.
+  std::vector<std::size_t> head(shards.size(), 0);
+  for (std::size_t n = 0; n < total; ++n) {
+    const DecisionRecord* next = nullptr;
+    std::size_t from = 0;
+    for (std::size_t k = 0; k < shards.size(); ++k) {
+      if (head[k] == shards[k]->size()) continue;
+      const DecisionRecord& r = shards[k]->record(head[k]);
+      if (next == nullptr || before(r, *next)) {
+        next = &r;
+        from = k;
+      }
+    }
+    out.records_.push_back(*next);
+    ++head[from];
+  }
   return out;
 }
 

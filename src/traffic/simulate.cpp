@@ -522,6 +522,7 @@ class Engine final : public control::Actuator {
     const Seconds window = now - last_tick_;
     status_buf_.resize(nodes_.size());
     Watts worst{0.0};
+    double active_rate = 0.0;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       const Node& n = nodes_[i];
       control::NodeStatus& st = status_buf_[i];
@@ -539,6 +540,8 @@ class Engine final : public control::Actuator {
       worst += n.pstate == control::PowerState::kSleeping
                    ? n.sleep_power
                    : (*tables_)[n.type_ord].busy_worst[n.point];
+      if (n.pstate == control::PowerState::kActive)
+        active_rate += (*tables_)[n.type_ord].rate[n.point];
     }
     class_buf_.resize(classes_.size());
     for (std::size_t c = 0; c < classes_.size(); ++c) {
@@ -645,23 +648,29 @@ class Engine final : public control::Actuator {
       rec.wakes = static_cast<std::uint32_t>(csum_.wakes - wakes0);
       rec.point_changes =
           static_cast<std::uint32_t>(csum_.point_changes - points0);
-      rec.transitions = std::move(tick_transitions_);
-      tick_transitions_.clear();
       // Predicted effect of the post-actuation fleet: conservative draw
-      // plus the aggregate service rate of nodes able to take work.
-      Watts predicted{0.0};
-      double rate = 0.0;
-      for (const Node& n : nodes_) {
-        if (n.pstate == control::PowerState::kSleeping) {
-          predicted += n.sleep_power;
-        } else {
-          predicted += (*tables_)[n.type_ord].busy_worst[n.point];
-          if (n.pstate == control::PowerState::kActive)
-            rate += (*tables_)[n.type_ord].rate[n.point];
+      // plus the aggregate service rate of nodes able to take work. Every
+      // actuation records a transition, so a tick without one left the
+      // fleet as the first pass saw it: the same terms in the same order.
+      rec.predicted_power = worst;
+      rec.predicted_rate_per_s = active_rate;
+      if (!tick_transitions_.empty()) {
+        Watts predicted{0.0};
+        double rate = 0.0;
+        for (const Node& n : nodes_) {
+          if (n.pstate == control::PowerState::kSleeping) {
+            predicted += n.sleep_power;
+          } else {
+            predicted += (*tables_)[n.type_ord].busy_worst[n.point];
+            if (n.pstate == control::PowerState::kActive)
+              rate += (*tables_)[n.type_ord].rate[n.point];
+          }
         }
+        rec.predicted_power = predicted;
+        rec.predicted_rate_per_s = rate;
+        rec.transitions = std::move(tick_transitions_);
+        tick_transitions_.clear();
       }
-      rec.predicted_power = predicted;
-      rec.predicted_rate_per_s = rate;
       frec_->append(std::move(rec));
     }
     for (Node& n : nodes_) n.window_busy = Seconds{0.0};

@@ -60,7 +60,8 @@ JsonValue& JsonValue::push(JsonValue v) {
 JsonValue& JsonValue::set(const std::string& key, JsonValue v) {
   require(kind_ == Kind::kObject, "JsonValue::set: not an object");
   for (const auto& [k, unused] : fields_)
-    require(k != key, "JsonValue::set: duplicate key '" + key + "'");
+    if (k == key)
+      throw PreconditionError("JsonValue::set: duplicate key '" + key + "'");
   fields_.emplace_back(key, std::move(v));
   return *this;
 }

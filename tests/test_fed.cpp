@@ -8,7 +8,10 @@
 // claim that heterogeneity-aware placement dominates static policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -102,6 +105,79 @@ TEST(Curves, RejectsMalformedKnots) {
                PreconditionError);
   EXPECT_THROW(PiecewiseCurve(Seconds{10.0}, {{Seconds{1.0}, -0.5}}),
                PreconditionError);
+}
+
+/// PiecewiseCurve::at as first written: phase by fmod, then a linear
+/// scan for the last knot at or before the phase. Shares no code with
+/// the curve's own lookup.
+double linear_scan_at(const PiecewiseCurve& c, Seconds t) {
+  const auto& k = c.knots();
+  const double p = c.period().value();
+  const double u = std::fmod(t.value(), p);
+  const auto lerp = [u](double a, double va, double b, double vb) {
+    return va + (vb - va) * (u - a) / (b - a);
+  };
+  if (k.size() == 1) return k.front().second;
+  if (u < k.front().first.value())
+    return lerp(k.back().first.value() - p, k.back().second,
+                k.front().first.value(), k.front().second);
+  std::size_t i = 0;
+  while (i + 1 < k.size() && k[i + 1].first.value() <= u) ++i;
+  if (i + 1 == k.size()) {
+    const double a = k.back().first.value();
+    const double b = k.front().first.value() + p;
+    if (b == a) return k.back().second;
+    return lerp(a, k.back().second, b, k.front().second);
+  }
+  return lerp(k[i].first.value(), k[i].second, k[i + 1].first.value(),
+              k[i + 1].second);
+}
+
+TEST(Curves, LookupMatchesALinearKnotScan) {
+  // A curve whose first knot is past zero (so both wrap segments are
+  // non-trivial), a seeded diurnal curve (first knot at zero) and a
+  // two-knot curve.
+  std::vector<PiecewiseCurve> curves;
+  {
+    Rng rng(41);
+    std::vector<std::pair<Seconds, double>> knots;
+    double t = 3.5;
+    for (int k = 0; k < 37; ++k) {
+      knots.emplace_back(Seconds{t}, rng.uniform(0.0, 2.0));
+      t += rng.uniform(0.01, 5.0);
+    }
+    curves.emplace_back(Seconds{t + 2.25}, std::move(knots));
+  }
+  curves.push_back(make_diurnal_curve(0.10, 0.8, Seconds{86400.0},
+                                      Seconds{30000.0}, 9, 0.05));
+  curves.emplace_back(Seconds{100.0}, std::vector<std::pair<Seconds, double>>{
+                                          {Seconds{10.0}, 1.0},
+                                          {Seconds{60.0}, 3.0}});
+  for (const PiecewiseCurve& c : curves) {
+    const double p = c.period().value();
+    std::vector<double> probes;
+    for (const auto& [kt, kv] : c.knots()) {
+      const double t = kt.value();
+      probes.push_back(t);
+      probes.push_back(std::nextafter(t, -1.0));
+      probes.push_back(std::nextafter(t, p));
+      probes.push_back(t + p);  // the same phase one period later
+    }
+    // Inside the left wrap segment (before the first knot) and the
+    // right one (after the last), plus the period's edges.
+    const double first = c.knots().front().first.value();
+    const double last = c.knots().back().first.value();
+    probes.push_back(0.0);
+    probes.push_back(0.5 * first);
+    probes.push_back(last + 0.25 * (p - last));
+    probes.push_back(last + 0.75 * (p - last));
+    probes.push_back(std::nextafter(p, 0.0));
+    for (const double t : probes) {
+      if (t < 0.0) continue;
+      EXPECT_EQ(c.at(Seconds{t}), linear_scan_at(c, Seconds{t}))
+          << "t = " << t;
+    }
+  }
 }
 
 // ------------------------------------------------------------ network
@@ -387,6 +463,201 @@ TEST(GlobalRouter, ParsePolicyRoundTripsAndRejectsUnknown) {
   EXPECT_THROW((void)parse_route_policy("teleport"), PreconditionError);
 }
 
+/// The slo-hybrid policy as first written: per request it collects the
+/// transit-feasible sites, then the load-feasible ones among them, then
+/// takes the price argmin. Shares no code with GlobalRouter; the oracle
+/// test replays the same streams through both, decision for decision.
+class ThreePassHybrid {
+ public:
+  ThreePassHybrid(const std::vector<Site>& sites,
+                  const hw::InterSiteNetwork& network,
+                  const std::vector<traffic::TrafficClass>& classes,
+                  const RouterOptions& options)
+      : sites_(sites),
+        classes_(classes),
+        options_(options),
+        recent_(sites.size()),
+        window_work_(sites.size(), 0.0) {
+    for (const Site& site : sites) {
+      std::vector<double> per_class;
+      for (const traffic::TrafficClass& c : classes)
+        per_class.push_back(
+            1.0 / traffic::cluster_capacity_per_s(site.cluster, {c}));
+      work_.push_back(per_class);
+    }
+    for (std::size_t i = 0; i < sites.size(); ++i)
+      for (std::size_t j = 0; j < sites.size(); ++j)
+        transit_.push_back(network.transit(i, j, options.request_payload));
+  }
+
+  std::size_t route(std::size_t origin, std::uint32_t cls, Seconds t) {
+    const std::size_t target = pick(origin, cls, t);
+    recent_[target].push_back({t.value(), work_[target][cls]});
+    window_work_[target] += work_[target][cls];
+    return target;
+  }
+
+  [[nodiscard]] std::size_t window_load(std::size_t site) const {
+    return recent_[site].size();
+  }
+
+ private:
+  double load(std::size_t site, Seconds t) {
+    auto& window = recent_[site];
+    const double cutoff = t.value() - options_.load_window.value();
+    while (!window.empty() && window.front().first < cutoff) {
+      window_work_[site] -= window.front().second;
+      window.pop_front();
+    }
+    if (window.empty()) window_work_[site] = 0.0;
+    return window_work_[site];
+  }
+
+  std::size_t pick(std::size_t origin, std::uint32_t cls, Seconds t) {
+    const std::size_t n = sites_.size();
+    const traffic::SloTarget& slo = classes_[cls].slo;
+    std::vector<std::size_t> allowed;
+    for (std::size_t j = 0; j < n; ++j) {
+      const Seconds tr = transit_[origin * n + j];
+      if (slo.enabled() &&
+          tr.value() > options_.transit_slack * slo.latency.value())
+        continue;
+      allowed.push_back(j);
+    }
+    if (allowed.empty()) return origin;
+    std::vector<std::size_t> feasible;
+    std::size_t least_loaded = allowed.front();
+    double least_load = std::numeric_limits<double>::infinity();
+    for (const std::size_t j : allowed) {
+      const double utilization =
+          (load(j, t) + work_[j][cls]) / options_.load_window.value();
+      if (utilization <= options_.headroom) feasible.push_back(j);
+      if (utilization < least_load) {
+        least_load = utilization;
+        least_loaded = j;
+      }
+    }
+    if (feasible.empty()) return least_loaded;
+    std::size_t best = feasible.front();
+    double best_price = std::numeric_limits<double>::infinity();
+    Seconds best_transit{std::numeric_limits<double>::infinity()};
+    for (const std::size_t j : feasible) {
+      const Seconds tr = transit_[origin * n + j];
+      const double price = sites_[j].price.at(t + tr);
+      if (price < best_price || (price == best_price && tr < best_transit)) {
+        best = j;
+        best_price = price;
+        best_transit = tr;
+      }
+    }
+    return best;
+  }
+
+  const std::vector<Site>& sites_;
+  const std::vector<traffic::TrafficClass>& classes_;
+  RouterOptions options_;
+  std::vector<Seconds> transit_;
+  std::vector<std::vector<double>> work_;
+  std::vector<std::deque<std::pair<double, double>>> recent_;
+  std::vector<double> window_work_;
+};
+
+/// Replays a seeded stream (nondecreasing instants with repeats, random
+/// origins and classes) through GlobalRouter and the three-pass oracle;
+/// returns how many decisions left their origin.
+std::size_t expect_router_matches_oracle(
+    const std::vector<Site>& sites, const hw::InterSiteNetwork& network,
+    const std::vector<traffic::TrafficClass>& classes,
+    const RouterOptions& options, double mean_gap, std::uint64_t seed) {
+  GlobalRouter router(sites, network, classes, options);
+  ThreePassHybrid oracle(sites, network, classes, options);
+  Rng rng(seed);
+  double t = 0.0;
+  std::size_t moved = 0;
+  for (int k = 0; k < 4000; ++k) {
+    if (rng.uniform01() > 0.2) t += rng.exponential(1.0 / mean_gap);
+    const auto origin =
+        static_cast<std::size_t>(rng.uniform_int(sites.size()));
+    const auto cls =
+        static_cast<std::uint32_t>(rng.uniform_int(classes.size()));
+    const Assignment a = router.route(origin, cls, Seconds{t});
+    const std::size_t want = oracle.route(origin, cls, Seconds{t});
+    EXPECT_EQ(a.target, want) << "decision " << k;
+    // load() prunes, so the windows pin which sites it visited.
+    for (std::size_t j = 0; j < sites.size(); ++j)
+      EXPECT_EQ(router.window_load(j), oracle.window_load(j))
+          << "decision " << k << ", site " << j;
+    if (::testing::Test::HasFailure()) break;
+    if (a.target != origin) ++moved;
+  }
+  return moved;
+}
+
+TEST(GlobalRouter, HybridMatchesThreePassOracle) {
+  // Four sites, asymmetric WAN: origin 0 reaches 1 and 2 at equal
+  // transit, 3 further away; prices are diurnal and phase-shifted.
+  std::vector<Site> sites;
+  for (int s = 0; s < 4; ++s) {
+    Site site;
+    site.name = "site" + std::to_string(s);
+    site.cluster = model::make_a9_k10_cluster(s == 0 ? 4 : 2, 1 + s % 2);
+    site.arrivals = traffic::make_poisson(10.0);
+    site.price = make_diurnal_curve(0.10, 0.8, Seconds{50.0},
+                                    Seconds{12.5 * s}, 300 + s, 0.05);
+    sites.push_back(std::move(site));
+  }
+  hw::InterSiteNetwork network(4);
+  for (std::size_t i = 0; i < 4; ++i)
+    for (std::size_t j = i + 1; j < 4; ++j)
+      network.set_link(i, j, hw::LinkSpec{Seconds{0.01 * (i + j)},
+                                          BytesPerSecond{1.0e6}});
+  network.set_link(0, 2, hw::LinkSpec{Seconds{0.01}, BytesPerSecond{1.0e6}});
+  const std::vector<traffic::TrafficClass> classes = {
+      {wl("memcached"), 0.7, traffic::SloTarget{Seconds{0.08}, 0.99}},
+      {wl("x264"), 0.2, traffic::SloTarget{Seconds{2.0}, 0.95}},
+      {wl("EP"), 0.1, traffic::SloTarget{}}};
+  const double gap = 1.0 / (0.5 * 4.0 * traffic::cluster_capacity_per_s(
+                                           sites[1].cluster, classes));
+
+  RouterOptions options;
+  options.policy = RoutePolicy::kSloHybrid;
+  options.headroom = 0.6;
+  options.transit_slack = 0.25;
+  options.load_window = Seconds{40.0 * gap};
+  options.request_payload = Bytes{2000.0};
+
+  // Mixed classes: some remote sites pass the gate for some classes.
+  EXPECT_GT(expect_router_matches_oracle(sites, network, classes, options,
+                                         gap, 1),
+            0u);
+  // A slack so tight that no remote site qualifies for a class with an
+  // SLO: always local.
+  RouterOptions tight = options;
+  tight.transit_slack = 1e-9;
+  const std::vector<traffic::TrafficClass> slo_classes = {classes[0],
+                                                          classes[1]};
+  EXPECT_EQ(expect_router_matches_oracle(sites, network, slo_classes, tight,
+                                         gap, 2),
+            0u);
+  // Every site saturated: the least-loaded fallback decides.
+  RouterOptions saturated = options;
+  saturated.headroom = 1e-6;
+  EXPECT_GT(expect_router_matches_oracle(sites, network, classes,
+                                         saturated, 0.2 * gap, 3),
+            0u);
+  // Equal flat prices: ties go to transit, then to the lower index.
+  std::vector<Site> flat = sites;
+  for (Site& site : flat) site.price = PiecewiseCurve::flat(0.12);
+  RouterOptions loose = options;
+  loose.transit_slack = 100.0;
+  expect_router_matches_oracle(flat, network, classes, loose, gap, 4);
+  hw::InterSiteNetwork even = hw::InterSiteNetwork::uniform(
+      4, Seconds{0.005}, BytesPerSecond{0.0});
+  EXPECT_GT(expect_router_matches_oracle(flat, even, classes, loose,
+                                         0.3 * gap, 5),
+            0u);
+}
+
 // -------------------------------------------------------------- fleet
 
 /// The keystone scenario: three time zones, one fleet.
@@ -614,6 +885,186 @@ TEST(Fleet, ValidatesScenario) {
   EXPECT_THROW((void)simulate_fleet(scenario.sites, scenario.network,
                                     scenario.classes, o),
                PreconditionError);
+}
+
+/// Three origins replaying recorded traces. Origins 0 and 1 share half
+/// their instants (ties across origins); origin 2 is its own stream.
+std::vector<std::vector<Seconds>> tied_traces(std::size_t per_site,
+                                              double mean_gap) {
+  std::vector<std::vector<Seconds>> traces(3);
+  Rng rng(77);
+  for (std::size_t o = 0; o < 3; ++o) {
+    double t = 0.0;
+    for (std::size_t k = 0; k < per_site; ++k) {
+      t += rng.exponential(1.0 / mean_gap);
+      traces[o].push_back(
+          o == 1 && k % 2 == 0 ? traces[0][k] : Seconds{t});
+    }
+    std::sort(traces[o].begin(), traces[o].end());
+  }
+  return traces;
+}
+
+std::vector<Site> replay_sites(
+    const std::vector<std::vector<Seconds>>& traces) {
+  std::vector<Site> sites;
+  for (std::size_t o = 0; o < traces.size(); ++o) {
+    Site site;
+    site.name = "r" + std::to_string(o);
+    site.cluster = model::make_a9_k10_cluster(2, 1 + o % 2);
+    site.arrivals = traffic::make_replay(traces[o]);
+    const Seconds span = traces[o].back();
+    site.price = make_diurnal_curve(0.10, 0.8, span,
+                                    Seconds{0.3 * span.value() * o}, 500 + o,
+                                    0.05);
+    sites.push_back(std::move(site));
+  }
+  return sites;
+}
+
+TEST(Fleet, MergedStreamPutsTheLowerOriginFirstOnTies) {
+  // Round-robin numbers the merged stream: fleet index k goes to site
+  // k % 3, so the routes matrix fixes the merge order. The expected
+  // order is the stable sort of the origin-ordered concatenation.
+  const auto traces = tied_traces(500, 0.01);
+  const std::vector<Site> sites = replay_sites(traces);
+  const std::vector<traffic::TrafficClass> classes = {
+      {wl("memcached"), 1.0, traffic::SloTarget{}}};
+  std::vector<std::pair<Seconds, std::size_t>> merged;
+  for (std::size_t o = 0; o < traces.size(); ++o)
+    for (const Seconds t : traces[o]) merged.emplace_back(t, o);
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  std::vector<std::vector<std::uint64_t>> routes(
+      3, std::vector<std::uint64_t>(3, 0));
+  for (std::size_t k = 0; k < merged.size(); ++k)
+    ++routes[merged[k].second][k % 3];
+
+  for (const std::size_t shards : {1u, 3u}) {
+    FleetOptions o;
+    o.requests_per_site = 500;
+    o.shards = shards;
+    o.router.policy = RoutePolicy::kRoundRobin;
+    const FleetReport r = simulate_fleet(
+        sites, hw::InterSiteNetwork::uniform(3, Seconds{0.002},
+                                             BytesPerSecond{0.0}),
+        classes, o);
+    EXPECT_EQ(r.offered, 1500u);
+    EXPECT_EQ(r.routes, routes) << "shards " << shards;
+  }
+}
+
+TEST(Fleet, EndToEndSummariesMatchAHandJoinOfTheRequestRecords) {
+  // Replay traces with cross-origin ties, two classes, an asymmetric
+  // WAN (landings reorder at every target; origins 0 and 1 are equally
+  // far from site 2, so their shared instants tie there, most of all
+  // when everything is pinned to site 2) and queue shedding with
+  // retries (failed records). The join is redone here from scratch:
+  // merge the origin streams, route them through a fresh GlobalRouter,
+  // rebuild each target's landing order, then pair every site's
+  // request records with their assignments.
+  const std::size_t per_site = 1200;
+  const auto traces = tied_traces(per_site, 0.004);
+  const std::vector<Site> sites = replay_sites(traces);
+  const std::vector<traffic::TrafficClass> classes = {
+      {wl("memcached"), 0.8, traffic::SloTarget{Seconds{0.05}, 0.95}},
+      {wl("x264"), 0.2, traffic::SloTarget{Seconds{5.0}, 0.95}}};
+  hw::InterSiteNetwork network(3);
+  network.set_link(0, 1, hw::LinkSpec{Seconds{0.011}, BytesPerSecond{0.0}});
+  network.set_link(0, 2, hw::LinkSpec{Seconds{0.017}, BytesPerSecond{0.0}});
+  network.set_link(1, 2, hw::LinkSpec{Seconds{0.017}, BytesPerSecond{0.0}});
+  FleetOptions options;
+  options.requests_per_site = per_site;
+  options.seed = 5;
+  options.router.policy = RoutePolicy::kSloHybrid;
+  options.router.headroom = 0.5;
+  options.router.load_window = Seconds{0.2};
+  options.admission.max_queue_depth = 6;
+  options.retry.max_attempts = 2;
+
+  // Generation as simulate_fleet draws it: replay instants, class coin
+  // from the origin's split of the fleet seed.
+  struct Pending {
+    Seconds t{};
+    std::size_t origin = 0;
+    std::uint32_t cls = 0;
+  };
+  std::vector<Pending> merged;
+  for (std::size_t o = 0; o < traces.size(); ++o) {
+    Rng rng = Rng(options.seed).split(static_cast<unsigned>(o));
+    for (const Seconds t : traces[o]) {
+      const double coin = rng.uniform01() * (0.8 + 0.2);
+      merged.push_back({t, o, coin - 0.8 < 0.0 ? 0u : 1u});
+    }
+  }
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const Pending& a, const Pending& b) {
+                     return a.t < b.t;
+                   });
+  for (const RoutePolicy policy :
+       {RoutePolicy::kSloHybrid, RoutePolicy::kPinned}) {
+    options.router.policy = policy;
+    options.router.pinned_site = 2;
+    GlobalRouter router(sites, network, classes, options.router);
+    std::vector<std::vector<Assignment>> landing(3);
+    for (const Pending& p : merged) {
+      const Assignment a = router.route(p.origin, p.cls, p.t);
+      landing[a.target].push_back(a);
+    }
+    for (auto& stream : landing)
+      std::stable_sort(stream.begin(), stream.end(),
+                       [](const Assignment& a, const Assignment& b) {
+                         return a.t + a.transit < b.t + b.transit;
+                       });
+
+    for (const std::size_t shards : {1u, 3u}) {
+      SCOPED_TRACE(std::string(route_policy_name(policy)) + ", shards " +
+                   std::to_string(shards));
+      options.shards = shards;
+      const FleetReport r = simulate_fleet(sites, network, classes, options);
+      std::vector<std::vector<double>> samples(classes.size());
+      std::vector<std::uint64_t> failed(classes.size(), 0);
+      std::vector<std::uint64_t> violations(classes.size(), 0);
+      std::vector<Seconds> transit_sum(classes.size());
+      for (std::size_t s = 0; s < 3; ++s) {
+        ASSERT_EQ(r.sites[s].result.offered, landing[s].size());
+        for (const traffic::RequestRecord& rec : r.sites[s].result.requests) {
+          const Assignment& a = landing[s][rec.index];
+          ASSERT_EQ(a.cls, rec.cls);
+          if (rec.failed != 0) {
+            ++failed[rec.cls];
+            continue;
+          }
+          const Seconds e2e = a.transit + rec.sojourn;
+          samples[rec.cls].push_back(e2e.value());
+          transit_sum[rec.cls] += a.transit;
+          if (e2e > classes[rec.cls].slo.latency) ++violations[rec.cls];
+        }
+      }
+      EXPECT_GT(failed[0] + failed[1], 0u);
+      EXPECT_GT(r.cross_site, 0u);
+      for (std::size_t c = 0; c < classes.size(); ++c) {
+        EXPECT_EQ(r.classes[c].completed, samples[c].size()) << "class " << c;
+        EXPECT_EQ(r.classes[c].failed, failed[c]) << "class " << c;
+        EXPECT_EQ(r.classes[c].slo_violations, violations[c]) << "class " << c;
+        EXPECT_EQ(r.classes[c].mean_transit.value(),
+                  transit_sum[c].value() /
+                      static_cast<double>(samples[c].size()))
+            << "class " << c;
+        const traffic::LatencySummary want =
+            traffic::LatencySummary::from_samples(samples[c]);
+        const traffic::LatencySummary& got = r.classes[c].e2e;
+        EXPECT_EQ(got.count, want.count) << "class " << c;
+        EXPECT_EQ(got.mean.value(), want.mean.value()) << "class " << c;
+        EXPECT_EQ(got.p50.value(), want.p50.value()) << "class " << c;
+        EXPECT_EQ(got.p95.value(), want.p95.value()) << "class " << c;
+        EXPECT_EQ(got.p99.value(), want.p99.value()) << "class " << c;
+        EXPECT_EQ(got.max.value(), want.max.value()) << "class " << c;
+      }
+    }
+  }
 }
 
 }  // namespace

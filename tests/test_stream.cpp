@@ -456,6 +456,26 @@ TEST(FlightRecorder, MergeInterleavesByTimeShardTick) {
   EXPECT_DOUBLE_EQ(m.at(3).t.value(), 3.0);
 }
 
+TEST(FlightRecorder, MergeRejectsAShardOutOfOrderAndReadsTheRing) {
+  FlightRecorder a{8};
+  a.append(make_record(0, 0, 2.0));
+  a.append(make_record(1, 0, 1.0));
+  EXPECT_THROW((void)FlightRecorder::merge({&a}), PreconditionError);
+  // A wrapped ring merges oldest-first.
+  FlightRecorder ring{3};
+  for (std::uint64_t i = 0; i < 5; ++i)
+    ring.append(make_record(i, 0, static_cast<double>(i)));
+  FlightRecorder other{4};
+  other.append(make_record(0, 1, 2.5));
+  const FlightRecorder m = FlightRecorder::merge({&ring, &other});
+  ASSERT_EQ(m.size(), 4u);
+  EXPECT_EQ(m.dropped(), 2u);
+  EXPECT_EQ(m.at(0).tick, 2u);
+  EXPECT_EQ(m.at(1).shard, 1u);
+  EXPECT_EQ(m.at(2).tick, 3u);
+  EXPECT_EQ(m.at(3).tick, 4u);
+}
+
 // ----------------------------------------- end-to-end traffic integration
 
 const workload::Workload& ep() {
