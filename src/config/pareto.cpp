@@ -1,13 +1,26 @@
 #include "hcep/config/pareto.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <limits>
 
 #include "hcep/obs/obs.hpp"
 #include "hcep/util/error.hpp"
 
 namespace hcep::config {
+namespace {
+
+/// Order-preserving integer key of a non-NaN time: a < b implies
+/// key(a) < key(b), and equal times share a key (-0.0 is folded onto
+/// +0.0 first, since the two compare equal).
+std::uint64_t time_key(double t) {
+  const auto bits = std::bit_cast<std::uint64_t>(t + 0.0);
+  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+}  // namespace
 
 EvaluationSet evaluate_space(const ConfigSpace& space,
                              const workload::Workload& workload,
@@ -18,18 +31,10 @@ EvaluationSet evaluate_space(const ConfigSpace& space,
 
   EvaluationSet out(&space, space.size());
 
-  const std::size_t num_types = space.types().size();
-  std::uint64_t radix[kMaxTypes];
-  std::uint64_t points[kMaxTypes];
-  for (std::size_t i = 0; i < num_types; ++i) {
-    radix[i] = space.types()[i].tuples() + 1;
-    points[i] = space.points_for(i);
-  }
-
-  // Chunked sweep: each chunk seeds a mixed-radix odometer with one
-  // div/mod chain, then advances digits incrementally — the hot loop is
-  // pure table arithmetic with no per-configuration division and no
-  // ClusterSpec/NodeSpec/Workload construction or heap allocation.
+  // Chunked sweep: each chunk is a run of consecutive configurations that
+  // the table fuses with one odometer seed and no per-configuration
+  // division, ClusterSpec/NodeSpec/Workload construction or allocation.
+  // Rows are independent, so any partition gives the same bits.
   constexpr std::uint64_t kChunk = 1024;
   const std::uint64_t n_cfg = space.size();
   const std::uint64_t n_chunks = (n_cfg + kChunk - 1) / kChunk;
@@ -57,49 +62,7 @@ EvaluationSet evaluate_space(const ConfigSpace& space,
 #endif
     const std::uint64_t begin = c * kChunk;
     const std::uint64_t end = std::min(n_cfg, begin + kChunk);
-
-    // Per-type digit plus its decoded (point, count); digit 0 = absent.
-    std::uint64_t digit[kMaxTypes];
-    std::uint32_t point[kMaxTypes];
-    std::uint32_t count[kMaxTypes];
-    std::uint64_t code = begin + 1;  // code 0 is the empty cluster
-    for (std::size_t i = 0; i < num_types; ++i) {
-      digit[i] = code % radix[i];
-      code /= radix[i];
-      const std::uint64_t d = digit[i] > 0 ? digit[i] - 1 : 0;
-      point[i] = static_cast<std::uint32_t>(d % points[i]);
-      count[i] = static_cast<std::uint32_t>(d / points[i] + 1);
-    }
-
-    DecodedGroup groups[kMaxTypes];
-    for (std::uint64_t index = begin; index < end; ++index) {
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < num_types; ++i) {
-        if (digit[i] == 0) continue;
-        groups[n].type = static_cast<std::uint32_t>(i);
-        groups[n].count = count[i];
-        groups[n].point = point[i];
-        ++n;
-      }
-      const PointMetrics m = table.evaluate_job(groups, n);
-      out.set(index, m.time, m.energy, m.idle_power, m.busy_power);
-
-      // Advance the odometer (least-significant digit first).
-      for (std::size_t i = 0; i < num_types; ++i) {
-        if (++digit[i] == radix[i]) {
-          digit[i] = 0;  // carry into the next type
-          continue;
-        }
-        if (digit[i] == 1) {
-          point[i] = 0;
-          count[i] = 1;
-        } else if (++point[i] == points[i]) {
-          point[i] = 0;
-          ++count[i];
-        }
-        break;
-      }
-    }
+    table.evaluate_range(begin, end, out);
 #if HCEP_OBS
     if (o != nullptr) {
       const auto elapsed =
@@ -147,6 +110,10 @@ std::vector<Evaluation> evaluate_space_naive(
 
 std::vector<Evaluation> pareto_front(std::vector<Evaluation> evaluations) {
   if (evaluations.empty()) return evaluations;
+  // NaN breaks the comparator's strict weak ordering (undefined in sort).
+  for (const Evaluation& e : evaluations)
+    require(!std::isnan(e.time.value()) && !std::isnan(e.energy.value()),
+            "pareto_front: NaN time or energy");
   std::sort(evaluations.begin(), evaluations.end(),
             [](const Evaluation& a, const Evaluation& b) {
               if (a.time != b.time) return a.time < b.time;
@@ -174,32 +141,36 @@ std::vector<Evaluation> pareto_front(const EvaluationSet& evals) {
   // by some strictly earlier bucket (which is strictly faster, so the
   // dropped point is dominated). Frontier members are never dominated and
   // always survive; the sort below then runs on a small candidate set.
-  double t_lo = time[0];
-  double t_hi = time[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    t_lo = std::min(t_lo, time[i]);
-    t_hi = std::max(t_hi, time[i]);
+  // Buckets are ranges of time_key: log-spaced, since times span decades,
+  // and found with no division. The pass that finds the key range also
+  // rejects NaN, which has no place in either order.
+  std::uint64_t k_lo = time_key(time[0]);
+  std::uint64_t k_hi = k_lo;
+  bool has_nan = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    has_nan |= std::isnan(time[i]) | std::isnan(energy[i]);
+    const std::uint64_t k = time_key(time[i]);
+    k_lo = std::min(k_lo, k);
+    k_hi = std::max(k_hi, k);
   }
-  const std::size_t kBuckets = 1024;
-  const double width = (t_hi - t_lo) / static_cast<double>(kBuckets);
-  std::vector<double> bucket_min;
-  const double inf = std::numeric_limits<double>::infinity();
+  require(!has_nan, "pareto_front: NaN time or energy");
+  constexpr int kLogBuckets = 10;  // at most 1024 buckets
+  const auto width = static_cast<int>(std::bit_width(k_hi - k_lo));
+  const int shift = width > kLogBuckets ? width - kLogBuckets : 0;
   auto bucket_of = [&](double t) {
-    const auto b = static_cast<std::size_t>((t - t_lo) / width);
-    return std::min(b, kBuckets - 1);
+    return static_cast<std::size_t>((time_key(t) - k_lo) >> shift);
   };
-  if (width > 0.0) {
-    bucket_min.assign(kBuckets, inf);
-    for (std::size_t i = 0; i < n; ++i) {
-      double& slot = bucket_min[bucket_of(time[i])];
-      slot = std::min(slot, energy[i]);
-    }
-    double running = inf;
-    for (double& slot : bucket_min) {  // prefix min over faster buckets
-      const double here = slot;
-      slot = running;
-      running = std::min(running, here);
-    }
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> bucket_min(((k_hi - k_lo) >> shift) + 1, inf);
+  for (std::size_t i = 0; i < n; ++i) {
+    double& slot = bucket_min[bucket_of(time[i])];
+    slot = std::min(slot, energy[i]);
+  }
+  double running = inf;
+  for (double& slot : bucket_min) {  // prefix min over faster buckets
+    const double here = slot;
+    slot = running;
+    running = std::min(running, here);
   }
 
   // Compact (time, energy, index) keys sort contiguously — no random
@@ -212,7 +183,7 @@ std::vector<Evaluation> pareto_front(const EvaluationSet& evals) {
   };
   std::vector<Key> keys;
   for (std::size_t i = 0; i < n; ++i) {
-    if (width > 0.0 && bucket_min[bucket_of(time[i])] <= energy[i]) {
+    if (bucket_min[bucket_of(time[i])] <= energy[i]) {
       continue;  // dominated by a strictly faster bucket's best energy
     }
     keys.push_back(Key{time[i], energy[i], i});

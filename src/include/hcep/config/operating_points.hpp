@@ -15,11 +15,17 @@
 // TimeEnergyModel path uses, so results agree to machine precision) and
 // fuses a configuration in O(#types) arithmetic with no ClusterSpec,
 // NodeSpec, Workload or heap allocation on the hot path.
+//
+// evaluate_range fuses a whole run of consecutive configurations: type
+// 0's (count, point) digit varies fastest in the space's index order, so
+// the other types' groups are looked up once per run of type-0 digits
+// and each row costs only the fused arithmetic.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "hcep/config/evaluation_set.hpp"
 #include "hcep/config/space.hpp"
 #include "hcep/util/units.hpp"
 #include "hcep/workload/demand.hpp"
@@ -88,12 +94,21 @@ class OperatingPointTable {
     return evaluate(groups, n, units_per_job_);
   }
 
+  /// Evaluates one job for every configuration index in [begin, end) of
+  /// the space this table was built from and writes row i of `out` with
+  /// exactly the bits evaluate_job(decode_at(i)) returns. Distinct
+  /// ranges may be filled concurrently.
+  void evaluate_range(std::uint64_t begin, std::uint64_t end,
+                      EvaluationSet& out) const;
+
  private:
   struct TypeTable {
     Watts idle_power{};  ///< per node, operating-point independent
+    std::uint64_t radix = 0;  ///< the space's digit radix: tuples() + 1
     std::vector<OperatingPointEntry> points;
   };
   std::vector<TypeTable> types_;
+  std::uint64_t configs_ = 0;  ///< size() of the space
   double units_per_job_ = 1.0;
   Seconds io_request_interval_{};  ///< 1/lambda_I/O
 };

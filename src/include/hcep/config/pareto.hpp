@@ -48,8 +48,10 @@ namespace hcep::config {
 /// Extracts the Pareto frontier minimizing (time, energy): no returned
 /// configuration is dominated (another with <= time and <= energy, one
 /// strict). Result sorted by increasing time (hence decreasing energy).
-/// The EvaluationSet overload sorts 8-byte indices over the metric
-/// columns and materializes only the frontier members.
+/// Throws PreconditionError when any time or energy is NaN. The
+/// EvaluationSet overload sorts compact keys over the metric columns,
+/// keeps the lowest index among rows with equal (time, energy), and
+/// materializes only the frontier members.
 [[nodiscard]] std::vector<Evaluation> pareto_front(
     std::vector<Evaluation> evaluations);
 [[nodiscard]] std::vector<Evaluation> pareto_front(const EvaluationSet& evals);

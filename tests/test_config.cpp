@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <set>
 
 #include "hcep/config/budget.hpp"
@@ -194,6 +198,67 @@ TEST(EvaluateSpace, NaivePathAgreesExactlyOnSmallSpace) {
   }
 }
 
+TEST(EvaluateSpace, FusedColumnsMatchThePerConfigEvaluatorBitForBit) {
+  // evaluate_space walks each run of type-0 digits with the other types'
+  // groups looked up once; every row must carry exactly the bits of the
+  // per-configuration evaluator on decode_at(i).
+  workload::CatalogOptions three_types;
+  three_types.nodes = {hw::cortex_a9(), hw::opteron_k10(), hw::xeon_e5()};
+  const std::vector<workload::Workload> paper = workload::paper_workloads();
+  const std::vector<workload::Workload> paper3 =
+      workload::paper_workloads(three_types);
+
+  TypeOptions explicit_a9{hw::cortex_a9(), 4, {}, {}, {}};
+  explicit_a9.operating_points = {{1, hw::cortex_a9().dvfs.min()},
+                                  {4, hw::cortex_a9().dvfs.max()},
+                                  {2, hw::cortex_a9().dvfs.step(2)}};
+  const TypeOptions subset_k10{hw::opteron_k10(), 5, {2, 6},
+                               {hw::opteron_k10().dvfs.min(),
+                                hw::opteron_k10().dvfs.max()},
+                               {}};
+  struct Case {
+    ConfigSpace space;
+    const std::vector<workload::Workload>* workloads;
+  };
+  const std::vector<Case> cases = {
+      {make_a9_k10_space(10, 10), &paper},
+      {ConfigSpace({{hw::cortex_a9(), 3, {}, {}, {}},
+                    {hw::opteron_k10(), 2, {}, {}, {}},
+                    {hw::xeon_e5(), 3, {}, {}, {}}}),
+       &paper3},
+      {ConfigSpace({explicit_a9, subset_k10}), &paper},
+      {ConfigSpace({{hw::opteron_k10(), 7, {}, {}, {}}}), &paper},
+  };
+
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (const Case& c : cases) {
+    for (const workload::Workload& w : *c.workloads) {
+      const OperatingPointTable table(c.space, w);
+      for (ThreadPool* pool : {&one, &four}) {
+        const EvaluationSet evals = evaluate_space(c.space, w, pool);
+        ASSERT_EQ(evals.size(), c.space.size());
+        std::uint64_t mismatches = 0;
+        for (std::uint64_t i = 0; i < c.space.size(); ++i) {
+          DecodedGroup groups[kMaxTypes];
+          const std::size_t n = c.space.decode_at(i, groups);
+          const PointMetrics m = table.evaluate_job(groups, n);
+          const double want[4] = {m.time.value(), m.energy.value(),
+                                  m.idle_power.value(),
+                                  m.busy_power.value()};
+          const double got[4] = {evals.times()[i], evals.energies()[i],
+                                 evals.idle_powers()[i],
+                                 evals.busy_powers()[i]};
+          if (std::memcmp(want, got, sizeof want) != 0) ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0u) << w.name << " over " << c.space.size()
+                                  << " configurations, " << pool->size()
+                                  << " threads";
+      }
+    }
+  }
+}
+
 TEST(EvaluateSpace, MaterializeMatchesConfigAt) {
   const ConfigSpace space = make_a9_k10_space(2, 2);
   const auto evals = evaluate_space(space, ep());
@@ -320,6 +385,98 @@ TEST(ParetoFront, SetAndVectorOverloadsAgree) {
                 1e-9);
     EXPECT_NEAR(set_front[i].energy.value() / vec_front[i].energy.value(),
                 1.0, 1e-9);
+  }
+}
+
+/// The frontier by definition: sort every row by (time, energy, index)
+/// and keep each row whose energy beats every row before it.
+std::vector<std::uint64_t> sort_scan_front(const std::vector<double>& time,
+                                           const std::vector<double>& energy) {
+  std::vector<std::uint64_t> order(time.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](std::uint64_t a, std::uint64_t b) {
+              if (time[a] != time[b]) return time[a] < time[b];
+              if (energy[a] != energy[b]) return energy[a] < energy[b];
+              return a < b;
+            });
+  std::vector<std::uint64_t> front;
+  double best = std::numeric_limits<double>::infinity();
+  for (std::uint64_t i : order) {
+    if (energy[i] < best) {
+      best = energy[i];
+      front.push_back(i);
+    }
+  }
+  return front;
+}
+
+TEST(ParetoFront, SetOverloadMatchesSortScanOracle) {
+  const ConfigSpace space = make_a9_k10_space(10, 10);  // rows to materialize
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  struct Case {
+    const char* name;
+    std::vector<double> time;
+    std::vector<double> energy;
+  };
+  std::vector<Case> cases = {
+      {"equal times", {2, 1, 2, 1, 3, 2}, {5, 7, 4, 6, 1, 4}},
+      {"duplicate pair, lowest index wins", {3, 1, 2, 1, 2}, {1, 4, 2, 4, 2}},
+      {"all times equal", {4, 4, 4, 4}, {3, 1, 2, 1}},
+      {"single row", {7}, {9}},
+      {"zero, negative and infinite times",
+       {0.0, -0.0, -3.0, inf, -inf, 2.0, -inf, 0.0},
+       {5, 5, 6, 0.5, 9, 1, 8, 4}},
+      {"signed zeros tie", {0.0, -0.0}, {1, 1}},
+      {"infinite energies", {1, 2, 3}, {inf, inf, 2}},
+      {"subnormal times",
+       {tiny, 3 * tiny, 2 * tiny, 0.0, tiny, 1e-300},
+       {4, 1, 2, 6, 3, 0.5}},
+  };
+  // Times spanning 1e-12 .. 1e12 with random energies, and a wide set in
+  // which many rows share few times, so the prefilter drops most rows.
+  std::mt19937_64 rng(20160901);
+  std::uniform_real_distribution<double> decades(-12.0, 12.0);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  Case wide{"times 1e-12 .. 1e12", {}, {}};
+  Case ties{"many ties", {}, {}};
+  for (int i = 0; i < 20000; ++i) {
+    const double t = std::pow(10.0, decades(rng));
+    wide.time.push_back(t);
+    wide.energy.push_back(1.0 / t + unit(rng) * 1e3);
+    ties.time.push_back(std::floor(unit(rng) * 50.0));
+    ties.energy.push_back(std::floor(unit(rng) * 40.0));
+  }
+  cases.push_back(std::move(wide));
+  cases.push_back(std::move(ties));
+
+  for (const Case& c : cases) {
+    ASSERT_EQ(c.time.size(), c.energy.size());
+    EvaluationSet set(&space, c.time.size());
+    for (std::size_t i = 0; i < c.time.size(); ++i)
+      set.set(i, Seconds{c.time[i]}, Joules{c.energy[i]}, Watts{}, Watts{});
+    std::vector<std::uint64_t> got;
+    for (const Evaluation& e : pareto_front(set)) got.push_back(e.index);
+    EXPECT_EQ(got, sort_scan_front(c.time, c.energy)) << c.name;
+  }
+}
+
+TEST(ParetoFront, RejectsNaNTimesAndEnergies) {
+  const ConfigSpace space = make_a9_k10_space(1, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int column = 0; column < 2; ++column) {
+    EvaluationSet set(&space, 3);
+    for (std::size_t i = 0; i < 3; ++i)
+      set.set(i, Seconds{1.0 + static_cast<double>(i)}, Joules{3.0}, Watts{},
+              Watts{});
+    set.set(1, Seconds{column == 0 ? nan : 2.0},
+            Joules{column == 1 ? nan : 3.0}, Watts{}, Watts{});
+    EXPECT_THROW((void)pareto_front(set), PreconditionError) << column;
+
+    std::vector<Evaluation> rows(3);
+    for (std::size_t i = 0; i < 3; ++i) rows[i] = set.materialize(i);
+    EXPECT_THROW((void)pareto_front(rows), PreconditionError) << column;
   }
 }
 

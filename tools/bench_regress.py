@@ -76,9 +76,21 @@ SUITES = {
             "BM_EvaluateSpace/10/1",
             "BM_ParetoFront",
         ],
+        # Within-run fast-path-vs-oracle ratios: the fused sweep against
+        # evaluate_space_naive and the prefiltered set front against the
+        # materialized sort, both on one thread. Thresholds sit between
+        # the ratios measured with the pre-fusion evaluator and linear
+        # Pareto buckets and with the current code (docs/PERF.md).
+        "ratio_gates": [
+            {"fast": "BM_EvaluateSpace/10/1",
+             "slow": "BM_EvaluateSpaceNaive/10/1", "min_ratio": 50.0},
+            {"fast": "BM_ParetoFront",
+             "slow": "BM_ParetoFrontMaterialized", "min_ratio": 60.0},
+        ],
         "smoke_filter": (
             "BM_ConfigDecode|BM_DecodeAt|BM_FullSweep$|"
-            "BM_EvaluateSpace/10/1|BM_ParetoFront$"
+            "BM_EvaluateSpace/10/1|BM_EvaluateSpaceNaive/10/1|"
+            "BM_ParetoFront$|BM_ParetoFrontMaterialized$"
         ),
     },
     "traffic": {
