@@ -3,43 +3,60 @@
 // The paper defers dynamic workload adaptation to complementary work;
 // here five dispatcher policies route atomic jobs over the individual
 // nodes of an 8 A9 + 2 K10 cluster, quantifying the latency/energy spread
-// that heterogeneity-aware dispatch buys.
+// that heterogeneity-aware dispatch buys. Every run is the request-level
+// engine (traffic::simulate_traffic) with Poisson arrivals offered at a
+// fraction of the cluster's capacity and no admission control.
 #include <iostream>
 
 #include <vector>
 
 #include "bench_common.hpp"
-#include "hcep/cluster/dispatch.hpp"
+#include "hcep/traffic/simulate.hpp"
+
+namespace {
+
+using namespace hcep;
+
+traffic::TrafficResult run(const model::ClusterSpec& cluster,
+                           const std::vector<traffic::TrafficClass>& classes,
+                           traffic::DispatchPolicy policy, double u,
+                           std::uint64_t jobs) {
+  traffic::TrafficOptions opts;
+  opts.policy = policy;
+  opts.requests = jobs;
+  opts.seed = 71;
+  const auto arrivals = traffic::make_poisson(
+      u * traffic::cluster_capacity_per_s(cluster, classes));
+  return traffic::simulate_traffic(cluster, classes, *arrivals, opts);
+}
+
+}  // namespace
 
 int main() {
-  using namespace hcep;
   bench::banner("Ablation: dispatch policies on 8 A9 + 2 K10",
                 "Section I's 'dynamic adaptation' complement");
 
   const auto cluster = model::make_a9_k10_cluster(8, 2);
   for (const auto* program : {"EP", "x264"}) {
-    const auto& w = bench::study().workload(program);
+    const std::vector<traffic::TrafficClass> classes{
+        {bench::study().workload(program), 1.0, {}}};
     for (double u : {0.5, 0.8}) {
       std::cout << "\n[" << program << " @ " << fmt(u * 100, 0)
                 << "% utilization]\n";
       TextTable table({"policy", "p95 [ms]", "mean [ms]", "J/job",
                        "A9 jobs", "K10 jobs"});
-      for (const auto policy : cluster::all_dispatch_policies()) {
-        cluster::DispatchOptions opts;
-        opts.policy = policy;
-        opts.utilization = u;
-        opts.jobs = 3000;
-        const auto r = cluster::simulate_dispatch(cluster, w, opts);
+      for (const auto policy : traffic::all_dispatch_policies()) {
+        const auto r = run(cluster, classes, policy, u, 3000);
         std::uint64_t a9_jobs = 0, k10_jobs = 0;
         for (const auto& n : r.nodes) {
           if (n.node_name == "A9") a9_jobs = n.jobs_served;
           if (n.node_name == "K10") k10_jobs = n.jobs_served;
         }
-        table.add_row({cluster::to_string(policy),
-                       fmt(r.p95_response.value() * 1e3, 1),
-                       fmt(r.mean_response.value() * 1e3, 1),
-                       fmt(r.energy_per_job.value(), 2), std::to_string(a9_jobs),
-                       std::to_string(k10_jobs)});
+        table.add_row({traffic::to_string(policy),
+                       fmt(r.sojourn.p95.value() * 1e3, 1),
+                       fmt(r.sojourn.mean.value() * 1e3, 1),
+                       fmt(r.energy_per_request.value(), 2),
+                       std::to_string(a9_jobs), std::to_string(k10_jobs)});
       }
       std::cout << table;
     }
@@ -48,22 +65,18 @@ int main() {
   // account for the job's program, not just the node.
   std::cout << "\n[mixed stream: 75% EP + 25% x264 @ 60% utilization]\n";
   {
-    std::vector<cluster::MixedStream> streams{
-        {bench::study().workload("EP"), 3.0},
-        {bench::study().workload("x264"), 1.0}};
+    const std::vector<traffic::TrafficClass> classes{
+        {bench::study().workload("EP"), 3.0, {}},
+        {bench::study().workload("x264"), 1.0, {}}};
     TextTable table({"policy", "overall p95 [s]", "EP p95 [s]",
                      "x264 p95 [s]", "J/job"});
-    for (const auto policy : cluster::all_dispatch_policies()) {
-      cluster::DispatchOptions opts;
-      opts.policy = policy;
-      opts.utilization = 0.6;
-      opts.jobs = 4000;
-      const auto r = cluster::simulate_mixed_dispatch(cluster, streams, opts);
-      table.add_row({cluster::to_string(policy),
-                     fmt(r.overall.p95_response.value(), 3),
-                     fmt(r.per_program[0].p95_response.value(), 3),
-                     fmt(r.per_program[1].p95_response.value(), 3),
-                     fmt(r.overall.energy_per_job.value(), 2)});
+    for (const auto policy : traffic::all_dispatch_policies()) {
+      const auto r = run(cluster, classes, policy, 0.6, 4000);
+      table.add_row({traffic::to_string(policy),
+                     fmt(r.sojourn.p95.value(), 3),
+                     fmt(r.classes[0].sojourn.p95.value(), 3),
+                     fmt(r.classes[1].sojourn.p95.value(), 3),
+                     fmt(r.energy_per_request.value(), 2)});
     }
     std::cout << table;
   }

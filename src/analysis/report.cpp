@@ -104,7 +104,7 @@ void render_traffic_section(const core::PaperStudy& study,
 
   traffic::TrafficOptions options;
   options.requests = 4000;
-  options.policy = cluster::DispatchPolicy::kJoinShortestQueue;
+  options.policy = traffic::DispatchPolicy::kJoinShortestQueue;
   options.admission.bucket_rate_per_s = 0.9 * capacity;
   options.admission.bucket_burst = 50.0;
   options.admission.max_queue_depth = 64;

@@ -26,9 +26,10 @@ FusedGroup fused_group(const OperatingPointEntry& entry, Watts idle_power,
 
 /// The Table 2 row arithmetic of one configuration over its `n` present
 /// groups in type order — the one copy both evaluate() and
-/// evaluate_range() run. It works on raw doubles: std::max on Quantity
-/// goes through the defaulted partial-ordering <=>, which GCC lowers to
-/// a compare-and-branch chain rather than maxsd. Same floating-point
+/// evaluate_range() run. It works on raw doubles, a choice made while
+/// std::max on Quantity still lowered to a compare-and-branch chain
+/// rather than maxsd (util/units.hpp now gives Quantity direct
+/// comparisons that lower to maxsd as well). Same floating-point
 /// operations in the same order as TimeEnergyModel, so both paths agree
 /// to machine precision; the time-pass intermediates carry over into the
 /// energy pass instead of being recomputed.

@@ -11,8 +11,8 @@ namespace hcep::control {
 namespace {
 
 /// Node indices ranked most-work-per-watt first at current operating
-/// points (the greedy order cluster::autoscale_replay powers the fleet
-/// in), ties broken by index for determinism.
+/// points (the greedy order the power gate wakes the fleet in), ties
+/// broken by index for determinism.
 std::vector<std::size_t> efficiency_order(const TickContext& ctx,
                                           const Actuator& act) {
   std::vector<std::size_t> order(ctx.num_nodes);

@@ -145,7 +145,7 @@ struct ControlOptions {
   bool event_triggered = true;
   Seconds min_event_spacing{0.5};
   /// Wake latency: a woken node draws idle power but serves nothing for
-  /// this long (autoscale.hpp boot-delay semantics).
+  /// this long (a boot delay).
   Seconds wake_delay{10.0};
   /// Energy penalty charged per sleeping->active transition.
   Joules wake_energy{10.0};

@@ -3,8 +3,7 @@
 //
 //   PowerGateController  sleeps/wakes whole nodes on queue-depth and
 //                        utilization signals (DPR/EPM power gating made
-//                        online; greedy most-work-per-watt ordering as in
-//                        cluster::autoscale_replay)
+//                        online; greedy most-work-per-watt ordering)
 //   DvfsGovernor         per-node operating-point selection against a
 //                        latency-headroom target, planning with the
 //                        memoized config::OperatingPointTable entries

@@ -47,8 +47,7 @@ struct FleetOptions {
   RouterOptions router{};
   /// Per-site dispatch/admission/retry, shared across the fleet (the
   /// per-site control plane lives on Site::control).
-  cluster::DispatchPolicy policy =
-      cluster::DispatchPolicy::kJoinShortestQueue;
+  traffic::DispatchPolicy policy = traffic::DispatchPolicy::kJoinShortestQueue;
   traffic::AdmissionOptions admission{};
   traffic::RetryPolicy retry{};
   /// Streaming telemetry per site. Enabling it also switches the cost

@@ -32,14 +32,11 @@
 #include "hcep/analysis/sensitivity.hpp"
 #include "hcep/analysis/single_node.hpp"
 #include "hcep/analysis/validation.hpp"
-#include "hcep/cluster/autoscale.hpp"
 #include "hcep/cluster/campaign.hpp"
-#include "hcep/cluster/dispatch.hpp"
 #include "hcep/cluster/failures.hpp"
 #include "hcep/cluster/phase_trace.hpp"
 #include "hcep/cluster/replication.hpp"
 #include "hcep/cluster/scaleout_sim.hpp"
-#include "hcep/cluster/trace.hpp"
 #include "hcep/cluster/simulator.hpp"
 #include "hcep/config/budget.hpp"
 #include "hcep/config/evaluation_set.hpp"

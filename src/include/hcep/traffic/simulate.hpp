@@ -1,9 +1,11 @@
 // Open-loop request-level cluster simulation.
 //
 // Generated arrivals (traffic::ArrivalProcess) flow through admission
-// control (traffic::admission) into the heterogeneity-aware dispatcher
-// policies of hcep::cluster, executing on the paper's node models over
-// the hcep::des kernel. Every request's exact queue-wait, service and
+// control (traffic::admission) into one of five heterogeneity-aware
+// dispatch policies, executing on the paper's node models over the
+// hcep::des kernel. Requests are atomic: each runs on exactly one node,
+// so node choice matters on a heterogeneous floor (the "dynamic
+// adaptation of the workload" the paper defers to complementary work). Every request's exact queue-wait, service and
 // sojourn times are recorded — p50/p95/p99 are order statistics, not
 // estimates — together with full energy accounting (idle floor +
 // per-request dynamic energy) and per-class SLO ledgers.
@@ -17,9 +19,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "hcep/cluster/dispatch.hpp"
 #include "hcep/control/controller.hpp"
 #include "hcep/model/cluster_spec.hpp"
 #include "hcep/obs/stream.hpp"
@@ -31,6 +33,27 @@
 #include "hcep/workload/demand.hpp"
 
 namespace hcep::traffic {
+
+enum class DispatchPolicy {
+  kRoundRobin,        ///< cycle over nodes, blind to type and queues
+  kRandom,            ///< uniform random node
+  kJoinShortestQueue, ///< fewest queued jobs, ties to the faster node
+  kFastestFirst,      ///< least expected completion time (queue + speed)
+  kLeastEnergy,       ///< least added energy, queue-delay as tie-breaker
+};
+
+[[nodiscard]] std::string to_string(DispatchPolicy policy);
+[[nodiscard]] std::vector<DispatchPolicy> all_dispatch_policies();
+/// Inverse of to_string; throws PreconditionError on unknown names (CLI
+/// surface).
+[[nodiscard]] DispatchPolicy parse_dispatch_policy(std::string_view name);
+
+/// Per-node-type dispatch ledger of one run.
+struct NodeLoad {
+  std::string node_name;
+  std::uint64_t jobs_served = 0;
+  double busy_fraction = 0.0;  ///< busy time / makespan
+};
 
 /// One request class: a workload (service demand per node type), its
 /// share of the arrival stream, and an optional latency SLO.
@@ -65,8 +88,7 @@ struct RequestRecord {
 struct TrafficOptions {
   /// First-attempt arrivals to generate (retries do not count).
   std::uint64_t requests = 10000;
-  cluster::DispatchPolicy policy =
-      cluster::DispatchPolicy::kJoinShortestQueue;
+  DispatchPolicy policy = DispatchPolicy::kJoinShortestQueue;
   AdmissionOptions admission{};
   RetryPolicy retry{};
   std::uint64_t seed = 1;
@@ -130,7 +152,7 @@ struct TrafficResult {
   Joules energy_per_request{};  ///< per completed request
 
   std::vector<ClassStats> classes;
-  std::vector<cluster::NodeLoad> nodes;
+  std::vector<NodeLoad> nodes;
 
   /// Control-plane ledger (enabled == false for open-loop runs).
   /// Deliberately NOT part of to_json(): the core result document stays

@@ -187,6 +187,23 @@ class Quantity {
   }
 
   friend constexpr auto operator<=>(Quantity a, Quantity b) = default;
+  // Direct comparisons on the raw value. Rewritten through the defaulted
+  // <=> alone, `a < b` goes via std::partial_ordering and GCC emits a
+  // comisd/jp branch chain, so std::max on Seconds never becomes maxsd.
+  // Each returns exactly what the double comparison returns (NaN
+  // included), so behaviour is unchanged.
+  friend constexpr bool operator<(Quantity a, Quantity b) {
+    return a.value_ < b.value_;
+  }
+  friend constexpr bool operator>(Quantity a, Quantity b) {
+    return a.value_ > b.value_;
+  }
+  friend constexpr bool operator<=(Quantity a, Quantity b) {
+    return a.value_ <= b.value_;
+  }
+  friend constexpr bool operator>=(Quantity a, Quantity b) {
+    return a.value_ >= b.value_;
+  }
 
   friend std::ostream& operator<<(std::ostream& os, Quantity q) {
     return os << q.value_ << detail::ratio_prefix<R>()

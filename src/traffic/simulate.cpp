@@ -1,6 +1,7 @@
 #include "hcep/traffic/simulate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -21,8 +22,35 @@ namespace hcep::traffic {
 
 namespace {
 
+constexpr std::array<std::string_view, 5> kPolicyNames{
+    "round-robin", "random", "join-shortest-queue", "fastest-first",
+    "least-energy"};
+
+}  // namespace
+
+std::string to_string(DispatchPolicy policy) {
+  const auto i = static_cast<std::size_t>(policy);
+  return i < kPolicyNames.size() ? std::string(kPolicyNames[i]) : "unknown";
+}
+
+std::vector<DispatchPolicy> all_dispatch_policies() {
+  return {DispatchPolicy::kRoundRobin, DispatchPolicy::kRandom,
+          DispatchPolicy::kJoinShortestQueue, DispatchPolicy::kFastestFirst,
+          DispatchPolicy::kLeastEnergy};
+}
+
+DispatchPolicy parse_dispatch_policy(std::string_view name) {
+  for (const DispatchPolicy p : all_dispatch_policies())
+    if (kPolicyNames[static_cast<std::size_t>(p)] == name) return p;
+  throw PreconditionError(
+      "unknown dispatch policy (expected round-robin, random, "
+      "join-shortest-queue, fastest-first or least-energy)");
+}
+
+namespace {
+
 /// One physical node: per-class service/dynamic-power tables plus live
-/// queue state (same materialization as cluster::simulate_dispatch).
+/// queue state.
 struct Node {
   std::string type;
   std::vector<Seconds> service;  ///< indexed by class
@@ -795,97 +823,35 @@ class Engine final : public control::Actuator {
     return (*tables_)[nodes_[node].type_ord].rate[p];
   }
 
-  /// Availability-aware dispatch over non-sleeping, non-draining nodes
-  /// (same policy semantics as pick_node, restricted to the active set;
-  /// dispatchable_ >= 1 is an actuator invariant so this always finds
-  /// one).
-  std::size_t pick_available_node(std::size_t cls) {
-    const auto active = [&](std::size_t i) {
-      return nodes_[i].pstate == control::PowerState::kActive;
-    };
+  /// The dispatch-policy switch, over the nodes `eligible` admits
+  /// (`count` of them, at least one). With every node eligible the
+  /// predicate folds away: the choice and the RNG draws are those of the
+  /// unrestricted policy, so a run whose nodes never park is the same
+  /// run with or without a controller.
+  template <class Eligible>
+  std::size_t pick(std::size_t cls, std::uint64_t count, Eligible eligible) {
+    const std::size_t n = nodes_.size();
+    std::size_t first = 0;
+    while (!eligible(first)) ++first;
     switch (options_.policy) {
-      case cluster::DispatchPolicy::kRoundRobin: {
+      case DispatchPolicy::kRoundRobin: {
         std::size_t i = rr_cursor_;
-        while (!active(i)) i = (i + 1) % nodes_.size();
-        rr_cursor_ = (i + 1) % nodes_.size();
+        while (!eligible(i)) i = (i + 1) % n;
+        rr_cursor_ = (i + 1) % n;
         return i;
       }
-      case cluster::DispatchPolicy::kRandom: {
-        std::uint64_t k = rng_.uniform_int(dispatchable_);
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-          if (!active(i)) continue;
+      case DispatchPolicy::kRandom: {
+        std::uint64_t k = rng_.uniform_int(count);
+        for (std::size_t i = first;; ++i) {
+          if (!eligible(i)) continue;
           if (k == 0) return i;
           --k;
         }
-        break;
       }
-      case cluster::DispatchPolicy::kJoinShortestQueue: {
-        std::size_t best = nodes_.size();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-          if (!active(i)) continue;
-          if (best == nodes_.size() || nodes_[i].queued < nodes_[best].queued ||
-              (nodes_[i].queued == nodes_[best].queued &&
-               nodes_[i].service[cls] < nodes_[best].service[cls])) {
-            best = i;
-          }
-        }
-        if (best < nodes_.size()) return best;
-        break;
-      }
-      case cluster::DispatchPolicy::kFastestFirst: {
-        std::size_t best = nodes_.size();
-        double best_eta = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-          if (!active(i)) continue;
-          const double backlog =
-              std::max(0.0, (nodes_[i].free_at - sim_.now()).value());
-          const double eta = backlog + nodes_[i].service[cls].value();
-          if (eta < best_eta) {
-            best_eta = eta;
-            best = i;
-          }
-        }
-        if (best < nodes_.size()) return best;
-        break;
-      }
-      case cluster::DispatchPolicy::kLeastEnergy: {
-        std::size_t best = nodes_.size();
-        double best_score = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-          if (!active(i)) continue;
-          const double joules = nodes_[i].dynamic[cls].value() *
-                                nodes_[i].service[cls].value();
-          const double backlog =
-              std::max(0.0, (nodes_[i].free_at - sim_.now()).value());
-          const double score = joules + backlog * 1e-3;
-          if (score < best_score) {
-            best_score = score;
-            best = i;
-          }
-        }
-        if (best < nodes_.size()) return best;
-        break;
-      }
-    }
-    throw PreconditionError("simulate_traffic: no dispatchable node");
-  }
-
-  /// Dispatch-policy node choice, shared with cluster::simulate_dispatch
-  /// semantics (over this engine's node subset).
-  std::size_t pick_node(std::size_t cls) {
-    if (copts_ != nullptr && dispatchable_ < nodes_.size())
-      return pick_available_node(cls);
-    switch (options_.policy) {
-      case cluster::DispatchPolicy::kRoundRobin: {
-        const std::size_t i = rr_cursor_;
-        rr_cursor_ = (rr_cursor_ + 1) % nodes_.size();
-        return i;
-      }
-      case cluster::DispatchPolicy::kRandom:
-        return static_cast<std::size_t>(rng_.uniform_int(nodes_.size()));
-      case cluster::DispatchPolicy::kJoinShortestQueue: {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < nodes_.size(); ++i) {
+      case DispatchPolicy::kJoinShortestQueue: {
+        std::size_t best = first;
+        for (std::size_t i = first + 1; i < n; ++i) {
+          if (!eligible(i)) continue;
           if (nodes_[i].queued < nodes_[best].queued ||
               (nodes_[i].queued == nodes_[best].queued &&
                nodes_[i].service[cls] < nodes_[best].service[cls])) {
@@ -894,10 +860,11 @@ class Engine final : public control::Actuator {
         }
         return best;
       }
-      case cluster::DispatchPolicy::kFastestFirst: {
-        std::size_t best = 0;
+      case DispatchPolicy::kFastestFirst: {
+        std::size_t best = first;
         double best_eta = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        for (std::size_t i = first; i < n; ++i) {
+          if (!eligible(i)) continue;
           const double backlog =
               std::max(0.0, (nodes_[i].free_at - sim_.now()).value());
           const double eta = backlog + nodes_[i].service[cls].value();
@@ -908,14 +875,16 @@ class Engine final : public control::Actuator {
         }
         return best;
       }
-      case cluster::DispatchPolicy::kLeastEnergy: {
-        std::size_t best = 0;
+      case DispatchPolicy::kLeastEnergy: {
+        std::size_t best = first;
         double best_score = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        for (std::size_t i = first; i < n; ++i) {
+          if (!eligible(i)) continue;
           const double joules = nodes_[i].dynamic[cls].value() *
                                 nodes_[i].service[cls].value();
           const double backlog =
               std::max(0.0, (nodes_[i].free_at - sim_.now()).value());
+          // Energy dominates; backlog breaks ties at the millijoule scale.
           const double score = joules + backlog * 1e-3;
           if (score < best_score) {
             best_score = score;
@@ -926,6 +895,18 @@ class Engine final : public control::Actuator {
       }
     }
     throw PreconditionError("simulate_traffic: unknown policy");
+  }
+
+  /// Node choice for one attempt: over every node in open loop, over
+  /// the active (neither sleeping nor draining) nodes once a controller
+  /// has parked some — dispatchable_ >= 1 is an actuator invariant.
+  std::size_t pick_node(std::size_t cls) {
+    if (copts_ != nullptr && dispatchable_ < nodes_.size()) {
+      return pick(cls, dispatchable_, [this](std::size_t i) {
+        return nodes_[i].pstate == control::PowerState::kActive;
+      });
+    }
+    return pick(cls, nodes_.size(), [](std::size_t) { return true; });
   }
 
   void attempt(Request req) {
@@ -1506,9 +1487,9 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
   for (const Node* n : merged_nodes) {
     auto it = std::find_if(
         out.nodes.begin(), out.nodes.end(),
-        [&](const cluster::NodeLoad& l) { return l.node_name == n->type; });
+        [&](const NodeLoad& l) { return l.node_name == n->type; });
     if (it == out.nodes.end()) {
-      out.nodes.push_back(cluster::NodeLoad{n->type, 0, 0.0});
+      out.nodes.push_back(NodeLoad{n->type, 0, 0.0});
       it = out.nodes.end() - 1;
     }
     it->jobs_served += n->served;

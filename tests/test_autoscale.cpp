@@ -1,23 +1,22 @@
-// Autoscaling replay: dynamic node on/off following the load must beat
-// every static mix's proportionality. The closed-loop section cross-
-// checks the same scenarios on the control::PowerGateController driven by
-// DES-clock ticks inside traffic::simulate_traffic — no bucket-position
-// (hour-of-day) or wall-clock assumptions, only load-derived ones.
+// Autoscaling under live traffic: the control::PowerGateController
+// parks and wakes whole nodes from DES-clock ticks inside
+// traffic::simulate_traffic. Every assertion is derived from the load or
+// the ledger, never from event positions in time or the wall clock — the
+// suite is deterministic for a fixed seed by construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 
-#include "hcep/cluster/autoscale.hpp"
 #include "hcep/control/controllers.hpp"
 #include "hcep/traffic/arrivals.hpp"
 #include "hcep/traffic/simulate.hpp"
-#include "hcep/util/error.hpp"
 #include "hcep/workload/catalog.hpp"
 
 namespace {
 
 using namespace hcep;
-using namespace hcep::cluster;
 using namespace hcep::literals;
 
 const workload::Workload& ep() {
@@ -25,117 +24,18 @@ const workload::Workload& ep() {
   return kEp;
 }
 
-model::TimeEnergyModel fleet() {
-  return {model::make_a9_k10_cluster(32, 4), ep()};
-}
-
-const LoadTrace& day_trace() {
-  static const LoadTrace kTrace = LoadTrace::diurnal(600_s, 0.1, 0.8);
-  return kTrace;
-}
-
-TEST(Autoscale, SavesEnergyAgainstAlwaysOn) {
-  const auto m = fleet();
-  const auto r = autoscale_replay(m, day_trace());
-  // The always-on fleet pays idle power over the whole horizon; the
-  // autoscaled fleet parks most nodes in the trough.
-  const double always_on_floor =
-      m.idle_power().value() * day_trace().horizon().value();
-  EXPECT_LT(r.total_energy.value(), always_on_floor);
-  EXPECT_GT(r.jobs_completed, 500u);
-}
-
-TEST(Autoscale, ActiveFractionFollowsTheLoad) {
-  const auto r = autoscale_replay(fleet(), day_trace());
-  ASSERT_EQ(r.buckets.size(), 24u);
-  // Locate peak and trough by the buckets' own offered load rather than
-  // assuming which hour of the synthetic day they land on.
-  std::size_t peak = 0, trough = 0;
-  for (std::size_t i = 1; i < r.buckets.size(); ++i) {
-    if (r.buckets[i].target_utilization >
-        r.buckets[peak].target_utilization)
-      peak = i;
-    if (r.buckets[i].target_utilization <
-        r.buckets[trough].target_utilization)
-      trough = i;
-  }
-  // The peak-load hour runs far more of the fleet than the trough.
-  EXPECT_GT(r.buckets[peak].active_fraction,
-            r.buckets[trough].active_fraction + 0.2);
-  EXPECT_GT(r.buckets[peak].average_power.value(),
-            r.buckets[trough].average_power.value());
-}
-
-TEST(Autoscale, EffectiveProfileBeatsTheStaticCurve) {
-  // The headline: dynamic adaptation pushes EPM well above the static
-  // mix's (which is capped at 1 - IPR ~ 0.33 for this fleet).
-  const auto r = autoscale_replay(fleet(), day_trace());
-  EXPECT_GT(r.effective_report.epm, r.static_report.epm + 0.2);
-  // And the effective idle floor collapses towards the sleep power.
-  EXPECT_LT(r.effective_curve.idle().value(),
-            fleet().idle_power().value() * 0.25);
-}
-
-TEST(Autoscale, HeadroomBoundsTheLatencyDamage) {
-  // More headroom -> more active capacity -> lower p95.
-  AutoscaleOptions lean;
-  lean.headroom = 0.05;
-  AutoscaleOptions generous;
-  generous.headroom = 0.6;
-  const auto a = autoscale_replay(fleet(), day_trace(), lean);
-  const auto b = autoscale_replay(fleet(), day_trace(), generous);
-  EXPECT_GT(a.worst_p95.value(), b.worst_p95.value());
-  EXPECT_LT(a.total_energy.value(), b.total_energy.value());
-}
-
-TEST(Autoscale, FlatTraceHoldsASteadyFleet) {
-  const auto r =
-      autoscale_replay(fleet(), LoadTrace::flat(300_s, 0.5));
-  double lo = 1.0, hi = 0.0;
-  for (const auto& b : r.buckets) {
-    lo = std::min(lo, b.active_fraction);
-    hi = std::max(hi, b.active_fraction);
-  }
-  EXPECT_LT(hi - lo, 0.15);  // no thrash under constant load
-}
-
-TEST(Autoscale, DeterministicForFixedSeed) {
-  const auto a = autoscale_replay(fleet(), day_trace());
-  const auto b = autoscale_replay(fleet(), day_trace());
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.total_energy.value(), b.total_energy.value());  // bit-exact
-}
-
-TEST(Autoscale, Validation) {
-  AutoscaleOptions opts;
-  opts.control_period = Seconds{0.0};
-  EXPECT_THROW((void)autoscale_replay(fleet(), day_trace(), opts),
-               PreconditionError);
-  opts.control_period = Seconds{5.0};
-  opts.min_active_fraction = 1.5;
-  EXPECT_THROW((void)autoscale_replay(fleet(), day_trace(), opts),
-               PreconditionError);
-}
-
-// ----------------------------------------------- closed-loop cross-check
-//
-// The replay scenarios above, re-run through the request-level control
-// plane: the PowerGateController under traffic::simulate_traffic drives
-// the same park/wake policy from DES-clock ticks. Every assertion is
-// derived from the load or the ledger, never from event positions in
-// time — the suite is deterministic for a fixed seed by construction.
-
 std::vector<traffic::TrafficClass> ep_class() {
   return {traffic::TrafficClass{ep(), 1.0, traffic::SloTarget{}}};
 }
 
 traffic::TrafficResult gated_run(
     std::unique_ptr<traffic::ArrivalProcess> arrivals, double rate,
-    double headroom, bool gated) {
+    double headroom, bool gated, Seconds stream_window = Seconds{0.0}) {
   const auto cluster = model::make_a9_k10_cluster(12, 2);
   traffic::TrafficOptions opts;
   opts.requests = 4000;
   opts.seed = 99;
+  opts.stream.window = stream_window;
   if (gated) {
     opts.control.controller =
         control::make_power_gate({.headroom = headroom});
@@ -171,8 +71,8 @@ TEST(AutoscaleClosedLoop, SavesEnergyAgainstAlwaysOn) {
 }
 
 TEST(AutoscaleClosedLoop, HeadroomBoundsTheLatencyDamage) {
-  // More headroom -> more awake capacity -> more idle burn, less queueing
-  // (the replay suite's lean-vs-generous scenario on the live ledger).
+  // More headroom -> more awake capacity -> more idle burn, less
+  // queueing.
   const double rate = diurnal_rate();
   const auto lean = gated_run(diurnal_arrivals(), rate, 0.05, true);
   const auto generous = gated_run(diurnal_arrivals(), rate, 1.0, true);
@@ -180,6 +80,29 @@ TEST(AutoscaleClosedLoop, HeadroomBoundsTheLatencyDamage) {
   EXPECT_GE(lean.control.gating_savings.value(),
             generous.control.gating_savings.value());
   EXPECT_GE(lean.sojourn.p99.value(), generous.sojourn.p99.value());
+}
+
+TEST(AutoscaleClosedLoop, TroughDrawFallsFarBelowTheAlwaysOnFloor) {
+  // The effective-profile claim on the streamed timeline: in its lightest
+  // full window the gated fleet draws well under half of what the
+  // always-on fleet draws in its own lightest window (which can never
+  // fall below the idle floor).
+  const double rate = diurnal_rate();
+  const Seconds window{25.0 / rate};
+  const auto lightest = [&](const traffic::TrafficResult& r) {
+    const auto& tl = r.timeline;
+    double lo = std::numeric_limits<double>::infinity();
+    for (const auto& w : tl.windows) {
+      const double width = std::min(w.t1, tl.horizon).value() - w.t0.value();
+      if (width < tl.window.value()) continue;
+      lo = std::min(lo, w.energy.value() / width);
+    }
+    return lo;
+  };
+  const auto open = gated_run(diurnal_arrivals(), rate, 0.25, false, window);
+  const auto gated = gated_run(diurnal_arrivals(), rate, 0.25, true, window);
+  ASSERT_GT(open.timeline.windows.size(), 8u);
+  EXPECT_LT(lightest(gated), 0.5 * lightest(open));
 }
 
 TEST(AutoscaleClosedLoop, FlatLoadDoesNotThrash) {

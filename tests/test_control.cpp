@@ -20,6 +20,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hcep/config/budget.hpp"
@@ -60,10 +61,12 @@ struct OracleCase {
   bool multi_class;
 };
 
-class FrozenOracle : public ::testing::TestWithParam<OracleCase> {};
+class FrozenOracle
+    : public ::testing::TestWithParam<std::tuple<OracleCase, DispatchPolicy>> {
+};
 
 TEST_P(FrozenOracle, ReproducesOpenLoopByteIdentically) {
-  const OracleCase& c = GetParam();
+  const OracleCase& c = std::get<0>(GetParam());
   const auto cluster = model::make_a9_k10_cluster(4, 2);
   std::vector<TrafficClass> classes =
       c.multi_class ? std::vector<TrafficClass>{
@@ -76,6 +79,7 @@ TEST_P(FrozenOracle, ReproducesOpenLoopByteIdentically) {
   open.requests = 4000;
   open.seed = 20260809;
   open.shards = c.shards;
+  open.policy = std::get<1>(GetParam());
   if (c.admission) {
     open.admission.bucket_rate_per_s = 60.0;
     open.admission.bucket_burst = 20.0;
@@ -118,14 +122,54 @@ TEST_P(FrozenOracle, ReproducesOpenLoopByteIdentically) {
   EXPECT_TRUE(b.control.all_dispatches_available);
 }
 
+std::string policy_label(DispatchPolicy policy) {
+  std::string n = to_string(policy);
+  std::replace(n.begin(), n.end(), '-', '_');
+  return n;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Paths, FrozenOracle,
-    ::testing::Values(OracleCase{"plain", 1, false, false},
-                      OracleCase{"admission", 1, true, false},
-                      OracleCase{"multiclass", 1, false, true},
-                      OracleCase{"sharded", 3, false, false},
-                      OracleCase{"sharded_admission", 3, true, true}),
-    [](const auto& inst) { return std::string(inst.param.label); });
+    ::testing::Combine(
+        ::testing::Values(OracleCase{"plain", 1, false, false},
+                          OracleCase{"admission", 1, true, false},
+                          OracleCase{"multiclass", 1, false, true},
+                          OracleCase{"sharded", 3, false, false},
+                          OracleCase{"sharded_admission", 3, true, true}),
+        ::testing::ValuesIn(all_dispatch_policies())),
+    [](const auto& inst) {
+      return std::string(std::get<0>(inst.param).label) + "_" +
+             policy_label(std::get<1>(inst.param));
+    });
+
+/// Every policy under the power gate with parked nodes: dispatch must
+/// skip sleeping and draining nodes, and no request may be lost.
+class PowerGateEveryPolicy : public ::testing::TestWithParam<DispatchPolicy> {
+};
+
+TEST_P(PowerGateEveryPolicy, DispatchesOnlyToActiveNodes) {
+  const auto cluster = model::make_a9_k10_cluster(8, 2);
+  TrafficOptions options;
+  options.requests = 6000;
+  options.seed = 13;
+  options.policy = GetParam();
+  options.control.controller = control::make_power_gate({});
+  options.control.period = Seconds{2.0};
+  options.control.wake_delay = Seconds{1.0};
+  const double rate = 0.25 * cluster_capacity_per_s(cluster, one_class());
+  const auto r = simulate_traffic(
+      cluster, one_class(), *make_diurnal(rate, 0.6, Seconds{300.0 / rate}),
+      options);
+  EXPECT_GT(r.control.sleeps, 0u);
+  EXPECT_TRUE(r.control.all_dispatches_available);
+  EXPECT_EQ(r.completed + r.failed, r.offered);
+  EXPECT_EQ(r.offered, 6000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, PowerGateEveryPolicy,
+    ::testing::ValuesIn(all_dispatch_policies()),
+    [](const auto& inst) { return policy_label(inst.param); });
 
 // ---------------------------------------------------------- determinism
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "hcep/hw/catalog.hpp"
 #include "hcep/obs/obs.hpp"
 #include "hcep/obs/run_report.hpp"
 #include "hcep/queueing/md1.hpp"
@@ -534,6 +535,127 @@ TEST(TrafficSharded, SingleShardOptionMatchesDefaultPath) {
   const auto b = simulate_traffic(cluster, one_class(), *make_poisson(400.0),
                                   explicit_one);
   EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
+}
+
+// ------------------------------------------------------- dispatch policies
+//
+// Atomic requests on a heterogeneous floor: each runs on the one node the
+// policy picks, so node choice sets both latency and energy.
+
+TrafficResult dispatch_run(const model::ClusterSpec& cluster,
+                           const std::vector<TrafficClass>& classes,
+                           DispatchPolicy policy, double utilization,
+                           std::uint64_t requests) {
+  TrafficOptions options;
+  options.policy = policy;
+  options.requests = requests;
+  options.seed = 71;
+  const auto arrivals =
+      make_poisson(utilization * cluster_capacity_per_s(cluster, classes));
+  return simulate_traffic(cluster, classes, *arrivals, options);
+}
+
+std::uint64_t served_by(const TrafficResult& r, const std::string& type) {
+  for (const auto& n : r.nodes)
+    if (n.node_name == type) return n.jobs_served;
+  return 0;
+}
+
+TEST(Dispatch, PolicyNamesRoundTrip) {
+  const auto policies = all_dispatch_policies();
+  EXPECT_EQ(policies.size(), 5u);
+  for (const auto p : policies)
+    EXPECT_EQ(parse_dispatch_policy(to_string(p)), p);
+  EXPECT_EQ(to_string(DispatchPolicy::kRoundRobin), "round-robin");
+  EXPECT_THROW((void)parse_dispatch_policy("shortest-queue"),
+               PreconditionError);
+  EXPECT_THROW((void)parse_dispatch_policy(""), PreconditionError);
+}
+
+class EveryPolicy : public ::testing::TestWithParam<DispatchPolicy> {};
+
+TEST_P(EveryPolicy, CompletesAllJobsAndAccountsEnergy) {
+  const auto cluster = model::make_a9_k10_cluster(6, 2);
+  const auto r = dispatch_run(cluster, one_class(), GetParam(), 0.5, 1500);
+  EXPECT_EQ(r.offered, 1500u);
+  EXPECT_EQ(r.completed, 1500u);
+  EXPECT_GT(r.makespan.value(), 0.0);
+  EXPECT_GT(r.energy.value(), 0.0);
+  EXPECT_GT(r.sojourn.p95, r.sojourn.mean);
+  // Energy per request is the whole ledger over the completions.
+  EXPECT_DOUBLE_EQ(r.energy_per_request.value() * 1500.0, r.energy.value());
+
+  std::uint64_t served = 0;
+  for (const auto& n : r.nodes) {
+    served += n.jobs_served;
+    EXPECT_GE(n.busy_fraction, 0.0);
+    EXPECT_LE(n.busy_fraction, 1.0 + 1e-9);
+  }
+  EXPECT_EQ(served, r.completed);
+}
+
+TEST_P(EveryPolicy, DeterministicForFixedSeed) {
+  const auto cluster = model::make_a9_k10_cluster(4, 1);
+  const auto a = dispatch_run(cluster, one_class(), GetParam(), 0.5, 500);
+  const auto b = dispatch_run(cluster, one_class(), GetParam(), 0.5, 500);
+  EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, EveryPolicy,
+                         ::testing::ValuesIn(all_dispatch_policies()),
+                         [](const auto& inst) {
+                           std::string n = to_string(inst.param);
+                           std::replace(n.begin(), n.end(), '-', '_');
+                           return n;
+                         });
+
+TEST(Dispatch, FastestFirstBeatsRoundRobinOnP95) {
+  // On a heterogeneous floor with EP (K10 ~6.7x faster per node),
+  // completion-time-aware dispatch must beat round-robin on p95.
+  const auto cluster = model::make_a9_k10_cluster(8, 2);
+  const auto smart = dispatch_run(cluster, one_class(),
+                                  DispatchPolicy::kFastestFirst, 0.6, 3000);
+  const auto blind = dispatch_run(cluster, one_class(),
+                                  DispatchPolicy::kRoundRobin, 0.6, 3000);
+  EXPECT_LT(smart.sojourn.p95.value(), blind.sojourn.p95.value());
+}
+
+TEST(Dispatch, LeastEnergyPrefersTheEfficientType) {
+  // For EP the A9 costs less dynamic energy per job; the least-energy
+  // policy must route the bulk of the jobs there, and draw no more
+  // average power than fastest-first.
+  const auto cluster = model::make_a9_k10_cluster(6, 2);
+  const auto green = dispatch_run(cluster, one_class(),
+                                  DispatchPolicy::kLeastEnergy, 0.3, 2000);
+  const auto fast = dispatch_run(cluster, one_class(),
+                                 DispatchPolicy::kFastestFirst, 0.3, 2000);
+  EXPECT_GT(served_by(green, "A9"), served_by(green, "K10"));
+  EXPECT_LE(green.average_power.value(), fast.average_power.value() * 1.05);
+}
+
+TEST(Dispatch, MixedStreamSharesFollowWeights) {
+  const auto cluster = model::make_a9_k10_cluster(4, 2);
+  const std::vector<TrafficClass> classes{{wl("EP"), 3.0, SloTarget{}},
+                                          {wl("x264"), 1.0, SloTarget{}}};
+  const auto r = dispatch_run(cluster, classes,
+                              DispatchPolicy::kFastestFirst, 0.5, 4000);
+  ASSERT_EQ(r.classes.size(), 2u);
+  EXPECT_EQ(r.classes[0].completed + r.classes[1].completed, 4000u);
+  const double share = static_cast<double>(r.classes[0].completed) / 4000.0;
+  EXPECT_NEAR(share, 0.75, 0.03);  // weight 3:1
+  // x264 jobs dwarf EP jobs; their tails must separate.
+  EXPECT_GT(r.classes[1].sojourn.p95.value(),
+            r.classes[0].sojourn.p95.value());
+}
+
+TEST(Dispatch, RejectsWorkloadWithoutDemand) {
+  workload::CatalogOptions copts;
+  copts.nodes = {hw::cortex_a9()};
+  const auto a9_only = workload::make_workload("EP", copts);
+  const auto cluster = model::make_a9_k10_cluster(2, 1);
+  EXPECT_THROW((void)simulate_traffic(cluster, {TrafficClass{a9_only}},
+                                      *make_poisson(1.0), TrafficOptions{}),
+               PreconditionError);
 }
 
 TEST(Traffic, Validation) {

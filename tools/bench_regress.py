@@ -46,6 +46,14 @@ Usage:
                          [--output build/BENCH_<suite>.json]
                          [--threshold 0.20] [--smoke] [--update-baseline]
 
+A gated benchmark, or either side of a ratio pair, that the run's
+``--benchmark_filter`` selects (every name, in a full run) but the output
+lacks fails the suite, so a renamed or deleted benchmark cannot switch
+its gate off. Every failure line names the bound it broke, e.g.
+``A vs B: 1.25x > max 1.15x``. ``tools/bench_regress_selftest.py``
+checks the gate evaluation (``evaluate_gates``) without running a
+benchmark.
+
 ``--smoke`` runs a short, filtered pass for ctest (seconds, not minutes)
 and relaxes the threshold to 0.60 unless one is given explicitly: on a
 shared machine a quick sample is too noisy for a 20% gate, but still
@@ -289,6 +297,74 @@ def run_benchmark(path, min_time, bench_filter=None):
     return json.loads(out[out.index("{"):])
 
 
+def expected_in_run(name, bench_filter):
+    """Whether a run with ``--benchmark_filter=bench_filter`` must report
+    ``name`` (google-benchmark selects by regex search; no filter selects
+    everything)."""
+    return bench_filter is None or re.search(bench_filter, name) is not None
+
+
+def evaluate_gates(suite, measured, baseline, threshold, bench_filter):
+    """Evaluates a suite's gates on one run; no I/O.
+
+    ``measured`` and ``baseline`` map benchmark names to dicts carrying
+    ``items_per_second``. Returns ``(report, failures)``: one report line
+    per evaluated gate, and one failure line per violated gate that names
+    the bound it broke. A gated name, or either side of a ratio pair, that
+    the run's filter selects but the output lacks is a failure: renaming
+    or deleting a benchmark must not switch its gate off silently.
+    """
+    def ips(name):
+        return measured.get(name, {}).get("items_per_second")
+
+    report, failures = [], []
+    floor = 1.0 - threshold
+    for name in suite["gated"]:
+        cur = ips(name)
+        if cur is None:
+            if expected_in_run(name, bench_filter):
+                failures.append(f"{name}: missing from the run")
+            continue
+        base = baseline.get(name, {}).get("items_per_second")
+        if base is None:
+            report.append(f"  {name:30s} no baseline entry; not gated")
+            continue
+        ratio = cur / base
+        ok = ratio >= floor
+        report.append(f"  {name:30s} baseline={base:12.4g}/s  "
+                      f"current={cur:12.4g}/s  ratio={ratio:6.3f}  "
+                      f"{'OK' if ok else 'REGRESSED'}")
+        if not ok:
+            failures.append(f"{name}: {ratio:.2f}x of baseline < min "
+                            f"{floor:.2f}x ({threshold:.0%} regression "
+                            "allowed)")
+
+    for gate in suite.get("ratio_gates", []):
+        pair = f"{gate['fast']} vs {gate['slow']}"
+        sides = (gate["fast"], gate["slow"])
+        missing = [n for n in sides if ips(n) is None]
+        if missing:
+            if any(expected_in_run(n, bench_filter) for n in sides):
+                failures.append(f"{pair}: {', '.join(missing)} missing "
+                                "from the run")
+            continue  # pair filtered out of this run
+        ratio = ips(gate["fast"]) / ips(gate["slow"])
+        bounds, broken = [], []
+        if "min_ratio" in gate:
+            bounds.append(f"min {gate['min_ratio']:.2f}x")
+            if not ratio >= gate["min_ratio"]:
+                broken.append(f"< min {gate['min_ratio']:.2f}x")
+        if "max_ratio" in gate:
+            bounds.append(f"max {gate['max_ratio']:.2f}x")
+            if not ratio <= gate["max_ratio"]:
+                broken.append(f"> max {gate['max_ratio']:.2f}x")
+        report.append(f"  {pair}: {ratio:.2f}x ({', '.join(bounds)})  "
+                      f"{'OUT OF BOUNDS' if broken else 'OK'}")
+        if broken:
+            failures.append(f"{pair}: {ratio:.2f}x {' and '.join(broken)}")
+    return report, failures
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--suite", default="sweep", choices=sorted(SUITES),
@@ -370,42 +446,14 @@ def main():
               "run with --update-baseline to create one", file=sys.stderr)
         return 2
 
-    failed = []
-    for name in suite["gated"]:
-        base = baseline.get(name, {}).get("items_per_second")
-        cur = measured.get(name, {}).get("items_per_second")
-        if base is None or cur is None:
-            continue
-        ratio = cur / base
-        status = "OK" if ratio >= 1.0 - threshold else "REGRESSED"
-        print(f"  {name:30s} baseline={base:12.4g}/s  "
-              f"current={cur:12.4g}/s  ratio={ratio:6.3f}  {status}")
-        if ratio < 1.0 - threshold:
-            failed.append(name)
-
-    for gate in suite.get("ratio_gates", []):
-        fast = measured.get(gate["fast"], {}).get("items_per_second")
-        slow = measured.get(gate["slow"], {}).get("items_per_second")
-        if fast is None or slow is None:
-            continue  # pair filtered out of this run
-        ratio = fast / slow
-        bounds = []
-        ok = True
-        if "min_ratio" in gate:
-            bounds.append(f"min {gate['min_ratio']:.2f}x")
-            ok = ok and ratio >= gate["min_ratio"]
-        if "max_ratio" in gate:
-            bounds.append(f"max {gate['max_ratio']:.2f}x")
-            ok = ok and ratio <= gate["max_ratio"]
-        print(f"  {gate['fast']} vs {gate['slow']}: "
-              f"{ratio:.2f}x ({', '.join(bounds)})  "
-              f"{'OK' if ok else 'OUT OF BOUNDS'}")
-        if not ok:
-            failed.append(f"{gate['fast']} vs {gate['slow']}")
-
-    if failed:
-        print(f"bench_regress: FAIL — {', '.join(failed)} regressed more "
-              f"than {threshold:.0%} vs {baseline_path}", file=sys.stderr)
+    report, failures = evaluate_gates(suite, measured, baseline, threshold,
+                                      bench_filter)
+    for line in report:
+        print(line)
+    if failures:
+        print(f"bench_regress: FAIL vs {baseline_path}", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
         return 1
     print(f"bench_regress: all gated benchmarks within {threshold:.0%} "
           "of baseline")

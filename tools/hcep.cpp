@@ -11,7 +11,6 @@
 //   hcep sensitivity <program>       seed-perturbation robustness
 //   hcep governor <program> [nA9 nK10]
 //                                    race-to-idle vs DVFS pacing
-//   hcep autoscale <program>         diurnal autoscaling vs static fleet
 //   hcep export <json|figures> [path]
 //                                    machine-readable study results
 //   hcep control <program|synthetic> [...]
@@ -57,7 +56,6 @@ int usage() {
          "  response <program>              p95 vs utilization\n"
          "  sensitivity <program>           seed robustness\n"
          "  governor <program> [nA9 nK10]   race vs pace\n"
-         "  autoscale <program>             autoscaling vs static fleet\n"
          "  export json [path]              full study as JSON\n"
          "  traffic <program|synthetic> [--arrivals poisson|deterministic|"
          "bursty|diurnal]\n"
@@ -220,26 +218,6 @@ int cmd_sensitivity(const std::vector<std::string>& args) {
             << "Fig 9 (25,7) crossover: "
             << fmt(r.crossover_25_7.mean(), 3) << " +/- "
             << fmt(r.crossover_25_7.stddev(), 3) << "\n";
-  return 0;
-}
-
-int cmd_autoscale(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
-  const auto& w = study().workload(args[0]);
-  const model::TimeEnergyModel m(model::make_a9_k10_cluster(32, 12), w);
-  const auto day =
-      cluster::LoadTrace::diurnal(Seconds{600.0}, 0.1, 0.8);
-  const auto r = cluster::autoscale_replay(m, day);
-  std::cout << "fleet 32A9:12K10 over a diurnal day (compressed):\n"
-            << "  energy " << fmt(r.total_energy.value() / 1e3, 1)
-            << " kJ   avg power " << fmt(r.average_power.value(), 1)
-            << " W   worst p95 " << fmt(r.worst_p95.value() * 1e3, 1)
-            << " ms\n"
-            << "  effective EPM " << fmt(r.effective_report.epm, 2)
-            << " (static fleet: " << fmt(r.static_report.epm, 2) << ")\n"
-            << "  effective idle floor "
-            << fmt(r.effective_curve.idle().value(), 1) << " W (static: "
-            << fmt(m.idle_power().value(), 1) << " W)\n";
   return 0;
 }
 
@@ -729,7 +707,6 @@ int cmd_traffic(const std::vector<std::string>& args) {
       synthetic ? synthetic_workload() : study().workload(args[0]);
 
   std::string arrivals_name = "poisson";
-  std::string policy_name = "join-shortest-queue";
   double util = 0.7;
   double slo_ms = 0.0;
   std::string json_path;
@@ -741,7 +718,7 @@ int cmd_traffic(const std::vector<std::string>& args) {
     if (key == "--arrivals")
       arrivals_name = value;
     else if (key == "--policy")
-      policy_name = value;
+      options.policy = traffic::parse_dispatch_policy(value);
     else if (key == "--util")
       util = std::stod(value);
     else if (key == "--requests")
@@ -763,18 +740,6 @@ int cmd_traffic(const std::vector<std::string>& args) {
       json_path = value;
     else
       return usage();
-  }
-
-  bool policy_found = false;
-  for (const auto p : cluster::all_dispatch_policies()) {
-    if (cluster::to_string(p) == policy_name) {
-      options.policy = p;
-      policy_found = true;
-    }
-  }
-  if (!policy_found) {
-    std::cerr << "unknown policy " << policy_name << "\n";
-    return 1;
   }
 
   std::vector<traffic::TrafficClass> classes{
@@ -807,7 +772,8 @@ int cmd_traffic(const std::vector<std::string>& args) {
   std::cout << w.name << " over 4xA9 + 2xK10, " << r.arrival_process
             << " arrivals at " << fmt(rate, 1) << " req/s (util "
             << fmt(util * 100.0, 0) << "% of " << fmt(capacity, 1)
-            << " req/s), policy " << policy_name << ":\n"
+            << " req/s), policy " << traffic::to_string(options.policy)
+            << ":\n"
             << "  offered " << r.offered << "  admitted " << r.admitted
             << "  shed " << r.shed_bucket + r.shed_queue << " (bucket "
             << r.shed_bucket << ", queue " << r.shed_queue << ")  retries "
@@ -861,7 +827,6 @@ int cmd_timeline(const std::vector<std::string>& args) {
       synthetic ? synthetic_workload() : study().workload(args[0]);
 
   std::string arrivals_name = "poisson";
-  std::string policy_name = "join-shortest-queue";
   double util = 0.7;
   double window_s = 0.0;
   std::string json_path, csv_path;
@@ -873,7 +838,7 @@ int cmd_timeline(const std::vector<std::string>& args) {
     if (key == "--arrivals")
       arrivals_name = value;
     else if (key == "--policy")
-      policy_name = value;
+      options.policy = traffic::parse_dispatch_policy(value);
     else if (key == "--util")
       util = std::stod(value);
     else if (key == "--requests")
@@ -892,18 +857,6 @@ int cmd_timeline(const std::vector<std::string>& args) {
       csv_path = value;
     else
       return usage();
-  }
-
-  bool policy_found = false;
-  for (const auto p : cluster::all_dispatch_policies()) {
-    if (cluster::to_string(p) == policy_name) {
-      options.policy = p;
-      policy_found = true;
-    }
-  }
-  if (!policy_found) {
-    std::cerr << "unknown policy " << policy_name << "\n";
-    return 1;
   }
 
   std::vector<traffic::TrafficClass> classes{
@@ -1229,7 +1182,6 @@ int main(int argc, char** argv) {
     if (cmd == "response") return cmd_response(args);
     if (cmd == "sensitivity") return cmd_sensitivity(args);
     if (cmd == "governor") return cmd_governor(args);
-    if (cmd == "autoscale") return cmd_autoscale(args);
     if (cmd == "export") return cmd_export(args);
     if (cmd == "traffic") return cmd_traffic(args);
     if (cmd == "control") return cmd_control(args);
