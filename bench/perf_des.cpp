@@ -17,8 +17,6 @@
 //   BM_CallbackInline vs BM_CallbackHeapSpill
 //                                         SBO hit vs heap spill on the
 //                                         callback type alone
-//   BM_ShardedTraffic/1..8                end-to-end scaling of the
-//                                         sharded traffic simulator
 //
 // Every loop folds event times into a checksum that feeds
 // benchmark::DoNotOptimize, so the compiler cannot dead-code the
@@ -37,8 +35,6 @@
 #include "hcep/cluster/simulator.hpp"
 #include "hcep/des/simulator.hpp"
 #include "hcep/model/cluster_spec.hpp"
-#include "hcep/traffic/arrivals.hpp"
-#include "hcep/traffic/simulate.hpp"
 #include "hcep/util/error.hpp"
 #include "hcep/workload/catalog.hpp"
 
@@ -314,37 +310,6 @@ void BM_ClusterSimulation(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_ClusterSimulation)->Arg(200)->Arg(2000)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Sharded traffic scaling: the same 200k-request run on 1/2/4/8 event-loop
-// shards (wall-clock, hence UseRealTime — the shards run on the pool).
-void BM_ShardedTraffic(benchmark::State& state) {
-  static const auto kCatalog = workload::paper_workloads();
-  const workload::Workload* ep = nullptr;
-  for (const auto& w : kCatalog)
-    if (w.name == "EP") ep = &w;
-  const auto cluster_spec = model::make_a9_k10_cluster(8, 4);
-  const auto arrivals = traffic::make_poisson(2000.0);
-  for (auto _ : state) {
-    traffic::TrafficOptions o;
-    o.requests = 200000;
-    o.seed = 42;
-    o.shards = static_cast<std::size_t>(state.range(0));
-    const auto r = traffic::simulate_traffic(
-        cluster_spec, {traffic::TrafficClass{*ep, 1.0, {}}}, *arrivals, o);
-    if (r.completed != o.requests) throw std::logic_error("traffic under-ran");
-    benchmark::DoNotOptimize(r.completed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          200000);
-}
-BENCHMARK(BM_ShardedTraffic)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 }  // namespace
 

@@ -176,7 +176,7 @@ class PowerCapController final : public Controller {
   void tick(const TickContext& ctx, Actuator& act) override {
     const std::size_t n = ctx.num_nodes;
     if (n == 0) return;
-    const Watts limit = options_.cap * ctx.shard_share;
+    const Watts limit = options_.cap;
     const Watts restore_limit = limit * (1.0 - options_.guard);
     Watts worst = ctx.worst_case_power;
 

@@ -248,7 +248,7 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
   };
 
   // Phase B: replay each site's share on its own cluster. Each run is a
-  // deterministic single-shard simulation; options.shards only decides
+  // deterministic single-engine simulation; options.shards only decides
   // whether the independent runs execute serially or on the pool. Each
   // task also joins its terminal request records back to the routing
   // log (record index -> fleet index -> assignment) and judges SLOs on
@@ -267,7 +267,6 @@ FleetReport simulate_fleet(const std::vector<Site>& sites,
     site_options.seed =
         options.seed + 0x9e3779b97f4a7c15ULL *
                            (static_cast<std::uint64_t>(s) + 1);
-    site_options.shards = 1;
     site_options.control = sites[s].control;
     site_options.stream = options.stream;
     site_options.record_requests = !solo;  // solo folds from class stats

@@ -12,16 +12,15 @@
 // Determinism contract:
 //  - Ticks are DES events: a controller sees the exact simulated state at
 //    its tick instant and its actions apply before the next event at the
-//    same timestamp. Same-seed runs are byte-identical, including across
-//    serial vs parallel shard execution for a fixed (seed, shards) pair.
+//    same timestamp. Same-seed runs are byte-identical.
 //  - A controller that never actuates (see FrozenController) leaves the
 //    run byte-identical to the open-loop simulation: the tick machinery
 //    draws no RNG values, schedules no request-visible events and
 //    contributes exactly-zero energy adjustments
 //    (tests/test_control.cpp asserts this per controller).
 //  - Controllers must be deterministic functions of (TickContext,
-//    internal state); they are cloned per shard and must not share
-//    mutable state across clones.
+//    internal state); each run drives its own clone, and clones must not
+//    share mutable state (a federation replays its sites concurrently).
 //
 // All power/energy signals crossing this interface are hcep::units
 // quantities — never raw doubles — so a W-vs-J slip in a controller is a
@@ -83,9 +82,6 @@ struct TickContext {
   /// Conservative rack draw at current states/points: sleeping nodes at
   /// their sleep floor, everything else at worst-case busy power.
   Watts worst_case_power{};
-  /// Fraction of the fleet this engine controls (1.0 single-shard). A
-  /// power-cap controller enforces cap * shard_share on its shard.
-  double shard_share = 1.0;
 };
 
 /// Command surface a controller actuates through, plus the memoized
@@ -122,7 +118,7 @@ class Actuator {
 
 /// A closed-loop policy. tick() is invoked by the simulation at every
 /// fixed-interval and event-triggered tick; clone() must produce an
-/// independent instance with pristine internal state (one per shard).
+/// independent instance with pristine internal state (one per run).
 class Controller {
  public:
   virtual ~Controller() = default;
@@ -135,7 +131,7 @@ class Controller {
 /// null controller the simulation runs open-loop and none of the control
 /// machinery is installed.
 struct ControlOptions {
-  /// Policy to drive (cloned per shard; the passed object is not
+  /// Policy to drive (cloned per run; the passed object is not
   /// mutated). Null disables control entirely.
   std::shared_ptr<const Controller> controller;
   /// Fixed tick interval.
@@ -159,13 +155,13 @@ struct ControlOptions {
   /// ControlSummary::flight — the control plane's audit ledger (observed
   /// signals, actions, predicted vs realized effect one window later).
   bool flight_recorder = true;
-  /// Drop-oldest bound of the per-shard flight recorder.
+  /// Drop-oldest bound of the run's flight recorder.
   std::size_t flight_capacity = 1u << 16;
 
   [[nodiscard]] bool enabled() const { return controller != nullptr; }
 };
 
-/// Decision ledger of one controlled run (merged across shards). Not
+/// Decision ledger of one controlled run. Not
 /// part of TrafficResult::to_json() — the core result document stays
 /// byte-identical whether or not a controller was installed; serialize
 /// this separately via its own to_json().
@@ -188,8 +184,8 @@ struct ControlSummary {
   /// trace.energy(makespan) + wake_energy == TrafficResult::energy to
   /// 1e-9 (tests/test_properties.cpp).
   power::PowerTrace trace;
-  /// Per-tick decision audit ledger when ControlOptions::flight_recorder
-  /// (merged across shards in deterministic (time, shard, tick) order).
+  /// Per-tick decision audit ledger when ControlOptions::flight_recorder,
+  /// oldest record first.
   obs::stream::FlightRecorder flight;
 
   [[nodiscard]] JsonValue to_json() const;

@@ -59,7 +59,6 @@ struct DvfsGovernorOptions {
 
 struct PowerCapOptions {
   /// Rack budget (the paper's Table 8 racks are provisioned at 1 kW).
-  /// Sharded runs enforce cap * shard_share per shard.
   Watts cap{1000.0};
   /// Keep worst-case draw below cap * (1 - guard) when unthrottling, so
   /// restores don't oscillate across the cap.

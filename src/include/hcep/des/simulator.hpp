@@ -17,9 +17,6 @@
 // how fast it is realized. Callbacks are des::Callback — captures up to
 // 48 bytes are stored inside the event record, so scheduling an event
 // allocates nothing on the hot path (see callback.hpp).
-//
-// For multi-shard execution (one event loop per node group, conservative
-// lookahead synchronization) see sharded.hpp.
 #pragma once
 
 #include <cstdint>
@@ -126,22 +123,11 @@ class BasicSimulator {
     now_ = horizon;
   }
 
-  /// Runs events with time strictly below `bound`, leaving the clock at
-  /// the last executed event (NOT advanced to the bound) — the window
-  /// primitive of the sharded conservative-lookahead loop: events at or
-  /// past the bound stay queued for the next window.
-  void run_before(Seconds bound) {
-    while (!queue_.empty() && queue_.peek_time() < bound) step();
-  }
-
   /// Runs until the queue drains completely.
   void run() {
     while (step()) {
     }
   }
-
-  /// Time of the next pending event (precondition: !empty()).
-  [[nodiscard]] Seconds next_event_time() { return queue_.peek_time(); }
 
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
   [[nodiscard]] bool empty() const { return queue_.empty(); }

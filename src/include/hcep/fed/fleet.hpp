@@ -16,7 +16,7 @@
 // FleetReport JSON is byte-identical across runs and across
 // FleetOptions::shards values — shards only controls whether sites
 // generate and simulate concurrently; each site's simulation is an
-// independent deterministic single-shard run either way
+// independent deterministic single-engine run either way
 // (tests/test_fed.cpp and the `hcep selftest fed` smoke pin this).
 #pragma once
 
@@ -41,8 +41,7 @@ struct FleetOptions {
   std::uint64_t seed = 1;
   /// Sites to run concurrently (thread-pool fan-out over per-origin
   /// generation and per-site replay). Results are byte-identical for
-  /// every value — unlike TrafficOptions::shards this knob never
-  /// partitions an event loop.
+  /// every value: each site is always one event loop.
   std::size_t shards = 1;
   RouterOptions router{};
   /// Per-site dispatch/admission/retry, shared across the fleet (the

@@ -16,19 +16,17 @@
 //    PowerTrace::energy() within 1e-9 (tests/test_properties.cpp).
 //  - QuantileSketch is a deterministic base-2 sub-bucketed histogram
 //    with a hard bucket cap: relative value error <= epsilon() is a
-//    proven bound (tested against exact order statistics), merging
-//    shard sketches keeps the coarsest bound, and the cap is enforced
-//    by deterministic resolution escalation — memory never grows with
-//    the stream.
+//    proven bound (tested against exact order statistics), and the cap
+//    is enforced by deterministic resolution escalation — memory never
+//    grows with the stream.
 //  - FlightRecorder is the control plane's decision audit ledger: one
 //    DecisionRecord per Controller tick (observed signals, actions
 //    taken, per-node transitions, predicted vs realized effect one
 //    window later), kept in a bounded drop-oldest ring.
 //
 // Determinism contract: timelines and ledgers are byte-identical across
-// same-seed runs and across serial vs parallel shard execution for a
-// fixed (seed, shards) pair — no wall clock, no unordered containers,
-// shard merge in shard order. Everything here works with -DHCEP_OBS=OFF:
+// same-seed runs — no wall clock, no unordered containers. Everything
+// here works with -DHCEP_OBS=OFF:
 // streaming is an opt-in result artifact (traffic::TrafficOptions), not
 // ambient instrumentation, so the kill switch does not apply to it.
 #pragma once
@@ -48,9 +46,8 @@ struct StreamOptions {
   /// Tumbling-window width on the DES clock; <= 0 disables streaming
   /// entirely (no collector is installed, zero hot-path cost).
   Seconds window{0.0};
-  /// Relative value-error bound of the per-window sojourn sketches.
-  /// Shard merges keep the coarsest (max) bound; the sketch may
-  /// escalate it deterministically under bucket-cap pressure.
+  /// Relative value-error bound of the per-window sojourn sketches; a
+  /// sketch may escalate it deterministically under bucket-cap pressure.
   double sketch_epsilon = 0.005;
 
   [[nodiscard]] bool enabled() const { return window.value() > 0.0; }
@@ -66,19 +63,15 @@ struct StreamOptions {
 /// bit pattern, so insert() is O(1) integer work — no comparisons, no
 /// sorting — which is what keeps the streaming collector inside the
 /// <= 5% overhead gate. Zero is counted exactly; negative values use a
-/// mirrored histogram. merge() sums buckets, so unlike rank-error
-/// summaries the bound does NOT grow across shard merges: epsilon() is
-/// the max of the two sides. If the contiguous bucket range would
-/// exceed max_buckets(), resolution halves (shift - 1, adjacent
-/// buckets fold pairwise) deterministically and epsilon() reports the
-/// escalated bound honestly.
+/// mirrored histogram. If the contiguous bucket range would exceed
+/// max_buckets(), resolution halves (shift - 1, adjacent buckets fold
+/// pairwise) deterministically and epsilon() reports the escalated
+/// bound honestly.
 class QuantileSketch {
  public:
   explicit QuantileSketch(double epsilon = 0.005);
 
   void insert(double value);
-  /// Folds another sketch in (shard merge); bounds combine by max.
-  void merge(const QuantileSketch& other);
 
   /// Value at quantile `q` in [0, 1]; 0.0 when empty.
   [[nodiscard]] double quantile(double q) const;
@@ -170,13 +163,13 @@ struct NodeClassInfo {
   std::uint64_t nodes = 0;
 };
 
-/// The streamed run timeline: every window of one run, merged across
-/// shards, byte-deterministic under to_json()/csv().
+/// The streamed run timeline: every window of one run,
+/// byte-deterministic under to_json()/csv().
 struct StreamTimeline {
   Seconds window{};   ///< tumbling-window width
   Seconds horizon{};  ///< run makespan the last window was clipped to
   /// Proven relative value-error bound of the per-window quantiles
-  /// (coarsest per-shard epsilon across the shard merge).
+  /// (the coarsest window sketch's epsilon).
   double sketch_epsilon = 0.0;
   std::vector<NodeClassInfo> node_classes;
   std::vector<StreamWindow> windows;
@@ -194,7 +187,7 @@ struct StreamTimeline {
   [[nodiscard]] std::string csv() const;
 };
 
-/// Online per-shard aggregator. The traffic engine drives the hooks in
+/// Online per-run aggregator. The traffic engine drives the hooks in
 /// DES event order. Floor power (idle/sleep level, changed only by
 /// gating deltas) is integrated segment-by-segment as the clock
 /// advances; each dispatch's dynamic draw and busy time are smeared
@@ -204,9 +197,9 @@ struct StreamTimeline {
 /// piecewise-constant integral.
 class Collector {
  public:
-  /// `node_classes` is the run's global class list (names in spec
-  /// order); `idle_floor` is this shard's per-class idle-power floor,
-  /// the integration level before any dispatch or gating delta.
+  /// `node_classes` is the run's class list (names in spec order, with
+  /// node counts); `idle_floor` is the per-class idle-power floor, the
+  /// integration level before any dispatch or gating delta.
   Collector(const StreamOptions& options,
             std::vector<NodeClassInfo> node_classes,
             std::vector<Watts> idle_floor);
@@ -223,12 +216,12 @@ class Collector {
   /// Wake-transient energy lump charged at `t` (not part of the trace).
   void on_wake_energy(std::uint32_t node_class, Seconds t, Joules lump);
 
-  /// Closes the run at `horizon` and merges the shard collectors (in
-  /// shard order — deterministic) into one timeline: counts and
-  /// energies sum, sketches merge (coarsest error bound wins),
-  /// utilization is recomputed over the merged fleet.
-  [[nodiscard]] static StreamTimeline merge_finalize(
-      const std::vector<Collector*>& shards, Seconds horizon);
+  /// Closes the run at `horizon` and moves the windows into a timeline:
+  /// window energies sum their classes, quantiles are read from each
+  /// window's sketch, utilization is busy time over the class's nodes
+  /// times the (horizon-clipped) window span. Call once: the collector's
+  /// windows are consumed.
+  [[nodiscard]] StreamTimeline finalize(Seconds horizon);
 
  private:
   struct Live {
@@ -273,8 +266,7 @@ class Collector {
 /// right after its actuations; realized fields are filled at the next
 /// tick — one window later — from what actually happened.
 struct DecisionRecord {
-  std::uint64_t tick = 0;   ///< per-shard tick ordinal (0-based)
-  std::uint32_t shard = 0;
+  std::uint64_t tick = 0;   ///< tick ordinal (0-based)
   bool event = false;       ///< event-triggered (shed congestion) tick
   Seconds t{};
   Seconds window{};         ///< span since the previous tick
@@ -303,7 +295,7 @@ struct DecisionRecord {
   // --- predicted effect (post-actuation) ---
   Watts predicted_power{};
   double predicted_rate_per_s = 0.0;  ///< aggregate active service rate
-  // --- realized one window later (false on a shard's final tick) ---
+  // --- realized one window later (false on the run's final tick) ---
   bool realized_valid = false;
   Watts realized_power{};
   double realized_rate_per_s = 0.0;   ///< completions/s next window
@@ -334,14 +326,6 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] JsonValue to_json() const;
-
-  /// Shard merge: records interleaved by (time, shard, tick) — stable
-  /// and deterministic; drop counts sum; capacities sum so the merge
-  /// itself never evicts. Each shard's records must already be in that
-  /// order, as an engine appends them (throws PreconditionError
-  /// otherwise).
-  [[nodiscard]] static FlightRecorder merge(
-      const std::vector<const FlightRecorder*>& shards);
 
  private:
   /// The i-th oldest record (i < size()).

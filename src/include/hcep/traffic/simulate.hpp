@@ -5,7 +5,9 @@
 // dispatch policies, executing on the paper's node models over the
 // hcep::des kernel. Requests are atomic: each runs on exactly one node,
 // so node choice matters on a heterogeneous floor (the "dynamic
-// adaptation of the workload" the paper defers to complementary work). Every request's exact queue-wait, service and
+// adaptation of the workload" the paper defers to complementary work).
+// A run is one event loop over the whole cluster, so every dispatch
+// decision sees every node. Every request's exact queue-wait, service and
 // sojourn times are recorded — p50/p95/p99 are order statistics, not
 // estimates — together with full energy accounting (idle floor +
 // per-request dynamic energy) and per-class SLO ledgers.
@@ -92,22 +94,10 @@ struct TrafficOptions {
   AdmissionOptions admission{};
   RetryPolicy retry{};
   std::uint64_t seed = 1;
-  /// Opt-in sharded execution (des::ShardedSimulator): nodes are
-  /// partitioned round-robin into `shards` groups, arrivals are assigned
-  /// round-robin by arrival index, and the token-bucket rate/burst are
-  /// split evenly. 1 = the classic single-loop path (byte-identical to
-  /// previous releases for a fixed seed). With shards > 1 the dispatch
-  /// policy sees only the shard's nodes, so results differ from the
-  /// single-shard run — but are byte-identical across repeated runs (and
-  /// across serial/parallel execution) for a fixed (seed, shards) pair.
-  std::size_t shards = 1;
-  /// Run shards concurrently on the global thread pool (identical
-  /// results either way; turn off to debug under a deterministic stack).
-  bool parallel_shards = true;
   /// Closed-loop control plane (hcep::control). Default-constructed =
   /// open loop: no controller, no ticks, the classic instruction stream.
   /// With a controller installed, ticks run as ordinary DES events and
-  /// the run stays byte-deterministic for a fixed (seed, shards) pair; a
+  /// the run stays byte-deterministic for a fixed seed; a
   /// control::make_frozen() controller reproduces the open-loop result
   /// byte-identically (the oracle property tests/test_control.cpp pins).
   control::ControlOptions control{};
@@ -133,7 +123,6 @@ struct TrafficOptions {
 /// Without admission control, sojourn == wait + service exactly.
 struct TrafficResult {
   std::string arrival_process;
-  std::uint64_t shards = 1;  ///< event-loop shards the run executed on
   std::uint64_t offered = 0;      ///< first-attempt arrivals generated
   std::uint64_t admitted = 0;     ///< attempts that passed admission
   std::uint64_t shed_bucket = 0;  ///< attempts rejected by the token bucket
@@ -202,11 +191,9 @@ struct TrafficResult {
 /// vector (class chosen upstream) instead of sampling a generator —
 /// the entry point a global routing tier uses to hand each cluster
 /// exactly the requests it placed there. `options.requests` is ignored
-/// (the vector is the budget) and `options.shards` must be 1: the
-/// upstream tier owns any parallelism, and a single event loop keeps
-/// the replay byte-identical to the equivalent generated run. Arrivals
-/// are scheduled lazily (one pending DES event at a time), so the
-/// per-event cost matches the generator pump, not an O(n) preload.
+/// (the vector is the budget); the upstream tier owns any parallelism
+/// across clusters. Arrivals are scheduled lazily (one pending DES
+/// event at a time), so the per-event cost matches the generator pump.
 [[nodiscard]] TrafficResult simulate_traffic(
     const model::ClusterSpec& cluster,
     const std::vector<TrafficClass>& classes,

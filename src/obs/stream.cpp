@@ -139,38 +139,6 @@ void QuantileSketch::insert(double value) {
   }
 }
 
-void QuantileSketch::merge(const QuantileSketch& other) {
-  if (other.n_ == 0) return;
-  // Align to the coarser resolution; the bound combines by max, not
-  // sum — bucket counts add without losing rank information.
-  while (shift_ > other.shift_) escalate();
-  n_ += other.n_;
-  zero_ += other.zero_;
-  const auto add = [&](bool negative, std::int32_t index,
-                       std::uint64_t c) {
-    for (;;) {
-      if (std::uint64_t* cell = (negative ? neg_ : pos_).find(index)) {
-        *cell += c;
-        return;
-      }
-      const std::uint32_t before = shift_;
-      extend(negative, index);
-      if (shift_ != before) index >>= (before - shift_);
-    }
-  };
-  const auto fold_in = [&](const Range& src, bool negative) {
-    for (std::size_t i = 0; i < src.len; ++i) {
-      const std::uint64_t c = src.cells[src.lo + i];
-      if (c == 0) continue;
-      // shift_ can escalate mid-loop; re-derive the down-shift each time.
-      const std::uint32_t down = other.shift_ - shift_;
-      add(negative, (src.base + static_cast<std::int32_t>(i)) >> down, c);
-    }
-  };
-  fold_in(other.pos_, false);
-  fold_in(other.neg_, true);
-}
-
 double QuantileSketch::representative(bool negative,
                                       std::int32_t index) const {
   // Bucket midpoint, rebuilt from the index's bit pattern: within
@@ -337,89 +305,44 @@ void Collector::on_floor_delta(std::uint32_t node_class, Seconds t,
 void Collector::on_wake_energy(std::uint32_t node_class, Seconds t,
                                Joules lump) {
   roll_to(t.value());
-  Live& lw = open_window();
-  lw.w.classes[node_class].wake += lump;
-  lw.w.wake += lump;
+  open_window().w.classes[node_class].wake += lump;
 }
 
-StreamTimeline Collector::merge_finalize(
-    const std::vector<Collector*>& shards, Seconds horizon) {
-  require(!shards.empty(), "merge_finalize: no shard collectors");
+StreamTimeline Collector::finalize(Seconds horizon) {
   const double h = horizon.value();
-  for (Collector* s : shards) {
-    require(s != nullptr, "merge_finalize: null shard collector");
-    // Dynamic energy was smeared at dispatch; only the floor integral
-    // needs to be brought up to the horizon.
-    s->roll_to(h);
-    s->accrue_to(h);
-    require(s->node_classes_.size() == shards[0]->node_classes_.size(),
-            "merge_finalize: shard node-class lists differ");
-  }
+  // Dynamic energy was smeared at dispatch; only the floor integral
+  // needs to be brought up to the horizon.
+  roll_to(h);
+  accrue_to(h);
 
   StreamTimeline tl;
-  tl.window = shards[0]->options_.window;
+  tl.window = options_.window;
   tl.horizon = horizon;
-  // The achieved bound (power-of-two, <= the requested option) — window
-  // merges below escalate it if any shard sketch had to coarsen.
-  tl.sketch_epsilon = QuantileSketch{shards[0]->options_.sketch_epsilon}
-                          .epsilon();
-  tl.node_classes = shards[0]->node_classes_;
-  for (std::size_t c = 0; c < tl.node_classes.size(); ++c) {
-    tl.node_classes[c].nodes = 0;
-    for (const Collector* s : shards) {
-      tl.node_classes[c].nodes += s->node_classes_[c].nodes;
-    }
-  }
-
-  std::size_t n_windows = 0;
-  for (const Collector* s : shards) {
-    n_windows = std::max(n_windows, s->live_.size());
-  }
-  const double width = shards[0]->width_;
-  tl.windows.reserve(n_windows);
-  for (std::size_t w = 0; w < n_windows; ++w) {
-    StreamWindow out;
-    out.index = static_cast<std::uint64_t>(w);
-    out.t0 = Seconds{static_cast<double>(w) * width};
-    out.t1 = Seconds{static_cast<double>(w + 1) * width};
-    out.classes.resize(tl.node_classes.size());
-    QuantileSketch sketch{shards[0]->options_.sketch_epsilon};
-    for (Collector* s : shards) {
-      if (w >= s->live_.size()) continue;
-      const Live& lw = s->live_[w];
-      out.arrivals += lw.w.arrivals;
-      out.completions += lw.w.completions;
-      out.shed += lw.w.shed;
-      out.sojourn_count += lw.w.sojourn_count;
-      for (std::size_t c = 0; c < out.classes.size(); ++c) {
-        NodeClassWindow& oc = out.classes[c];
-        const NodeClassWindow& sc = lw.w.classes[c];
-        oc.dispatched += sc.dispatched;
-        oc.completed += sc.completed;
-        oc.busy += sc.busy;
-        oc.queue_depth += sc.queue_depth;
-        oc.energy += sc.energy;
-        oc.wake += sc.wake;
-      }
-      sketch.merge(lw.sketch);
-    }
+  // The achieved bound (power-of-two, <= the requested option); a window
+  // sketch that had to coarsen escalates it below.
+  tl.sketch_epsilon = QuantileSketch{options_.sketch_epsilon}.epsilon();
+  tl.node_classes = node_classes_;
+  tl.windows.reserve(live_.size());
+  for (Live& lw : live_) {
+    StreamWindow& w = lw.w;
     const double span =
-        std::max(0.0, std::min(h, out.t1.value()) - out.t0.value());
-    for (std::size_t c = 0; c < out.classes.size(); ++c) {
-      NodeClassWindow& oc = out.classes[c];
+        std::max(0.0, std::min(h, w.t1.value()) - w.t0.value());
+    for (std::size_t c = 0; c < w.classes.size(); ++c) {
+      NodeClassWindow& cw = w.classes[c];
       const double cap = static_cast<double>(tl.node_classes[c].nodes) * span;
-      oc.utilization = cap > 0.0 ? oc.busy.value() / cap : 0.0;
-      out.energy += oc.energy;
-      out.wake += oc.wake;
+      cw.utilization = cap > 0.0 ? cw.busy.value() / cap : 0.0;
+      w.energy += cw.energy;
+      w.wake += cw.wake;
     }
-    out.sojourn_p50 = Seconds{sketch.quantile(0.50)};
-    out.sojourn_p95 = Seconds{sketch.quantile(0.95)};
-    out.sojourn_p99 = Seconds{sketch.quantile(0.99)};
-    tl.sketch_epsilon = std::max(tl.sketch_epsilon, sketch.epsilon());
-    tl.total_energy += out.energy;
-    tl.total_wake += out.wake;
-    tl.windows.push_back(std::move(out));
+    w.sojourn_p50 = Seconds{lw.sketch.quantile(0.50)};
+    w.sojourn_p95 = Seconds{lw.sketch.quantile(0.95)};
+    w.sojourn_p99 = Seconds{lw.sketch.quantile(0.99)};
+    tl.sketch_epsilon = std::max(tl.sketch_epsilon, lw.sketch.epsilon());
+    tl.total_energy += w.energy;
+    tl.total_wake += w.wake;
+    tl.windows.push_back(std::move(w));
   }
+  live_.clear();
   return tl;
 }
 
@@ -604,7 +527,6 @@ const char* to_string(DecisionRecord::Transition::Kind kind) {
 JsonValue DecisionRecord::to_json() const {
   JsonValue o = JsonValue::object();
   o.set("tick", JsonValue::number(static_cast<std::int64_t>(tick)));
-  o.set("shard", JsonValue::number(static_cast<std::int64_t>(shard)));
   o.set("event", JsonValue::boolean(event));
   o.set("t_s", JsonValue::number(t.value()));
   o.set("window_s", JsonValue::number(window.value()));
@@ -687,49 +609,6 @@ JsonValue FlightRecorder::to_json() const {
     rows.push(record(i).to_json());
   doc.set("records", std::move(rows));
   return doc;
-}
-
-FlightRecorder FlightRecorder::merge(
-    const std::vector<const FlightRecorder*>& shards) {
-  const auto before = [](const DecisionRecord& a, const DecisionRecord& b) {
-    if (a.t.value() != b.t.value()) return a.t.value() < b.t.value();
-    if (a.shard != b.shard) return a.shard < b.shard;
-    return a.tick < b.tick;
-  };
-  std::size_t capacity = 0;
-  std::size_t total = 0;
-  std::uint64_t dropped = 0;
-  for (const FlightRecorder* s : shards) {
-    require(s != nullptr, "FlightRecorder::merge: null shard recorder");
-    for (std::size_t i = 1; i < s->size(); ++i)
-      require(!before(s->record(i), s->record(i - 1)),
-              "FlightRecorder::merge: shard records out of order");
-    capacity += s->capacity_;
-    total += s->size();
-    dropped += s->dropped_;
-  }
-  FlightRecorder out{std::max<std::size_t>(1, capacity)};
-  out.dropped_ = dropped;
-  out.records_.reserve(total);
-  // Each shard is one ascending run, so a k-way merge with ties to the
-  // earlier recorder is the stable sort of the concatenation, and
-  // copies each record once.
-  std::vector<std::size_t> head(shards.size(), 0);
-  for (std::size_t n = 0; n < total; ++n) {
-    const DecisionRecord* next = nullptr;
-    std::size_t from = 0;
-    for (std::size_t k = 0; k < shards.size(); ++k) {
-      if (head[k] == shards[k]->size()) continue;
-      const DecisionRecord& r = shards[k]->record(head[k]);
-      if (next == nullptr || before(r, *next)) {
-        next = &r;
-        from = k;
-      }
-    }
-    out.records_.push_back(*next);
-    ++head[from];
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@
 #include "hcep/config/operating_points.hpp"
 #include "hcep/config/space.hpp"
 #include "hcep/control/controller.hpp"
-#include "hcep/des/sharded.hpp"
 #include "hcep/des/simulator.hpp"
 #include "hcep/obs/obs.hpp"
 #include "hcep/util/error.hpp"
@@ -241,9 +240,8 @@ struct Request {
 };
 static_assert(sizeof(Request) <= 24, "Request must stay callback-inline");
 
-/// The per-event-loop simulation engine: one per shard (single-shard runs
-/// use exactly one over all nodes, preserving the seed code path's event
-/// and RNG order byte-for-byte).
+/// The simulation engine: one event loop over every node of the cluster,
+/// so the dispatch policy always sees the whole system.
 ///
 /// Every callback this engine schedules captures at most {Engine*, node
 /// index, Request, Seconds} — 48 bytes — so no event allocates
@@ -260,26 +258,21 @@ class Engine final : public control::Actuator {
   Engine(des::Simulator& sim, const std::vector<TrafficClass>& classes,
          const std::vector<double>& cumulative,
          const TrafficOptions& options, std::vector<Node> nodes,
-         std::uint64_t request_budget, Rng rng, bool tracing,
-         const std::vector<TypePoints>* tables, double shard_share,
-         const std::vector<obs::stream::NodeClassInfo>* stream_classes,
-         std::uint32_t shard_index)
+         std::uint64_t request_budget, const std::vector<TypePoints>* tables,
+         const std::vector<obs::stream::NodeClassInfo>* stream_classes)
       : sim_(sim),
         classes_(classes),
         cumulative_(cumulative),
         options_(options),
         nodes_(std::move(nodes)),
         request_budget_(request_budget),
-        rng_(rng),
-        tracing_(tracing),
-        per_class_(classes.size()),
-        shard_index_(shard_index),
-        shard_count_(static_cast<std::uint32_t>(options.shards)) {
+        rng_(options.seed),
+        per_class_(classes.size()) {
     if (options.admission.bucket_enabled()) {
-      const double split = static_cast<double>(options.shards);
+      // A burst below one request could never admit one.
       bucket_ = std::make_unique<TokenBucket>(
-          options.admission.bucket_rate_per_s / split,
-          std::max(1.0, options.admission.bucket_burst / split));
+          options.admission.bucket_rate_per_s,
+          std::max(1.0, options.admission.bucket_burst));
     }
     if (options.record_requests) records_.reserve(request_budget);
 #if HCEP_OBS
@@ -306,7 +299,6 @@ class Engine final : public control::Actuator {
     if (options_.control.enabled()) {
       copts_ = &options_.control;
       tables_ = tables;
-      shard_share_ = shard_share;
       controller_ = copts_->controller->clone();
       dispatchable_ = nodes_.size();
       window_shed_.assign(classes.size(), 0);
@@ -326,19 +318,14 @@ class Engine final : public control::Actuator {
       }
 #endif
     }
-    // Streaming telemetry: a per-shard Collector fed by the event hooks
-    // below. Purely observational (no RNG draws, no DES events), so the
+    // Streaming telemetry: a Collector fed by the event hooks below.
+    // Purely observational (no RNG draws, no DES events), so the
     // simulation outcome is byte-identical with it on or off.
     if (options_.stream.enabled() && stream_classes != nullptr) {
-      std::vector<obs::stream::NodeClassInfo> cls = *stream_classes;
-      for (auto& c : cls) c.nodes = 0;
-      std::vector<Watts> floors(cls.size(), Watts{0.0});
-      for (const Node& n : nodes_) {
-        ++cls[n.type_ord].nodes;
-        floors[n.type_ord] += n.idle;
-      }
+      std::vector<Watts> floors(stream_classes->size(), Watts{0.0});
+      for (const Node& n : nodes_) floors[n.type_ord] += n.idle;
       stream_ = std::make_unique<obs::stream::Collector>(
-          options_.stream, std::move(cls), std::move(floors));
+          options_.stream, *stream_classes, std::move(floors));
     }
     if (copts_ != nullptr && copts_->flight_recorder) {
       frec_ = std::make_unique<obs::stream::FlightRecorder>(
@@ -356,8 +343,8 @@ class Engine final : public control::Actuator {
     sim_.schedule_at(Seconds{0.0}, std::move(cb));
   }
 
-  /// Open-loop arrival pump (single-shard path): the generator is
-  /// sampled inside the event loop, exactly like the seed code.
+  /// Open-loop arrival pump: the generator is sampled inside the event
+  /// loop, exactly like the seed code.
   void start_pump(const ArrivalProcess& arrivals) {
     gen_ = arrivals.clone();
     const Seconds first = gen_->next(Seconds{0.0}, rng_);
@@ -365,21 +352,6 @@ class Engine final : public control::Actuator {
       schedule_pump(first);
     else
       arrivals_done_ = true;
-  }
-
-  /// Pre-assigned arrivals (sharded path): (time, class, global index)
-  /// triples generated up front from the shared arrival stream.
-  void preload(const std::vector<Arrival>& arrivals,
-               const std::vector<std::uint64_t>& indices) {
-    preload_total_ = arrivals.size();
-    if (preload_total_ == 0) arrivals_done_ = true;
-    for (std::size_t k = 0; k < arrivals.size(); ++k) {
-      auto cb = [this, cls = arrivals[k].cls, idx = indices[k]]() {
-        admit_arrival(cls, idx);
-      };
-      static_assert(des::Callback::stores_inline<decltype(cb)>);
-      sim_.schedule_at(arrivals[k].t, std::move(cb));
-    }
   }
 
   /// Assigned-arrival replay (fed path): a time-sorted vector owned by
@@ -394,7 +366,7 @@ class Engine final : public control::Actuator {
     schedule_assigned(arrivals.front().t);
   }
 
-  // ---- merged outputs ----
+  // ---- outputs ----
   std::uint64_t offered = 0, admitted = 0, shed_bucket = 0, shed_queue = 0,
                 retries = 0, completed = 0, failed = 0;
   [[nodiscard]] Seconds makespan() const { return makespan_; }
@@ -478,13 +450,6 @@ class Engine final : public control::Actuator {
       schedule_assigned((*assigned_)[assigned_cursor_].t);
   }
 
-  /// Preloaded-arrival firing (class was drawn at generation time).
-  void admit_arrival(std::size_t cls, std::uint64_t index) {
-    ++preload_fired_;
-    if (preload_fired_ >= preload_total_) arrivals_done_ = true;
-    arrive(cls, index);
-  }
-
   void arrive(std::size_t cls, std::uint64_t index) {
     ++offered;
     if (copts_ != nullptr) ++window_arrivals_;
@@ -504,7 +469,7 @@ class Engine final : public control::Actuator {
 
   void note_inflight() {
 #if HCEP_OBS
-    if (o_ != nullptr && tracing_) {
+    if (o_ != nullptr) {
       o_->tracer.counter(sim_.now().value(), cat_s_, inflight_s_,
                          static_cast<double>(inflight_));
     }
@@ -603,7 +568,6 @@ class Engine final : public control::Actuator {
     ctx.classes = class_buf_.data();
     ctx.num_classes = class_buf_.size();
     ctx.worst_case_power = worst;
-    ctx.shard_share = shard_share_;
 
     // Flight recorder: close the loop on the previous record (what
     // actually happened over the window that just ended is this tick's
@@ -633,7 +597,7 @@ class Engine final : public control::Actuator {
 #if HCEP_OBS
     if (o_ != nullptr) {
       o_->metrics.add(ctrl_ticks_m_);
-      if (tracing_) o_->tracer.begin(now.value(), ctrl_cat_s_, tick_s_);
+      o_->tracer.begin(now.value(), ctrl_cat_s_, tick_s_);
     }
 #endif
     controller_->tick(ctx, *this);
@@ -641,19 +605,16 @@ class Engine final : public control::Actuator {
     if (o_ != nullptr) {
       o_->metrics.set(ctrl_active_g_, static_cast<double>(dispatchable_));
       o_->metrics.set(ctrl_power_g_, worst.value());
-      if (tracing_) {
-        o_->tracer.counter(now.value(), ctrl_cat_s_, active_track_s_,
-                           static_cast<double>(dispatchable_));
-        o_->tracer.counter(now.value(), ctrl_cat_s_, power_track_s_,
-                           worst.value());
-        o_->tracer.end(now.value(), ctrl_cat_s_, tick_s_);
-      }
+      o_->tracer.counter(now.value(), ctrl_cat_s_, active_track_s_,
+                         static_cast<double>(dispatchable_));
+      o_->tracer.counter(now.value(), ctrl_cat_s_, power_track_s_,
+                         worst.value());
+      o_->tracer.end(now.value(), ctrl_cat_s_, tick_s_);
     }
 #endif
     if (frec_ != nullptr) {
       obs::stream::DecisionRecord rec;
       rec.tick = csum_.ticks;
-      rec.shard = shard_index_;
       rec.event = event;
       rec.t = now;
       rec.window = window;
@@ -717,19 +678,12 @@ class Engine final : public control::Actuator {
       ledger_.emplace_back(t.value(), delta.value());
   }
 
-  /// Global node index of a shard-local one (round-robin partition:
-  /// shard-local slot k holds global node k * shards + shard).
-  [[nodiscard]] std::uint32_t global_node(std::size_t i) const {
-    return static_cast<std::uint32_t>(i) * shard_count_ + shard_index_;
-  }
-
   void record_transition(std::size_t i,
                          obs::stream::DecisionRecord::Transition::Kind kind,
                          std::uint32_t from, std::uint32_t to) {
     if (frec_ == nullptr) return;
-    tick_transitions_.push_back(
-        obs::stream::DecisionRecord::Transition{global_node(i), kind, from,
-                                                to});
+    tick_transitions_.push_back(obs::stream::DecisionRecord::Transition{
+        static_cast<std::uint32_t>(i), kind, from, to});
   }
 
   // ---- control::Actuator ----
@@ -919,8 +873,7 @@ class Engine final : public control::Actuator {
 #if HCEP_OBS
       if (o_ != nullptr) {
         o_->metrics.add(shed_m_);
-        if (tracing_)
-          o_->tracer.instant(now.value(), shed_cat_s_, bucket_s_);
+        o_->tracer.instant(now.value(), shed_cat_s_, bucket_s_);
       }
 #endif
       if (stream_ != nullptr) stream_->on_shed(now);
@@ -940,8 +893,7 @@ class Engine final : public control::Actuator {
 #if HCEP_OBS
       if (o_ != nullptr) {
         o_->metrics.add(shed_m_);
-        if (tracing_)
-          o_->tracer.instant(now.value(), shed_cat_s_, queue_s_);
+        o_->tracer.instant(now.value(), shed_cat_s_, queue_s_);
       }
 #endif
       if (stream_ != nullptr) stream_->on_shed(now);
@@ -969,9 +921,8 @@ class Engine final : public control::Actuator {
 #if HCEP_OBS
     if (o_ != nullptr) {
       o_->metrics.add(admitted_m_);
-      if (tracing_)
-        o_->tracer.begin(start.value(), cat_s_, request_s_, wait_key_s_,
-                         wait.value());
+      o_->tracer.begin(start.value(), cat_s_, request_s_, wait_key_s_,
+                       wait.value());
     }
 #endif
     // The kernel hot path: {Engine*, index, Request, Seconds} is exactly
@@ -1058,7 +1009,7 @@ class Engine final : public control::Actuator {
     }
 #if HCEP_OBS
     if (o_ != nullptr) {
-      if (tracing_) o_->tracer.end(sim_.now().value(), cat_s_, request_s_);
+      o_->tracer.end(sim_.now().value(), cat_s_, request_s_);
       o_->metrics.add(completed_m_);
       o_->metrics.observe(sojourn_m_, sojourn.value());
     }
@@ -1073,7 +1024,6 @@ class Engine final : public control::Actuator {
   std::vector<Node> nodes_;
   std::uint64_t request_budget_;
   Rng rng_;
-  bool tracing_;
   std::unique_ptr<ArrivalProcess> gen_;
   std::unique_ptr<TokenBucket> bucket_;
   std::size_t rr_cursor_ = 0;
@@ -1085,13 +1035,10 @@ class Engine final : public control::Actuator {
   const control::ControlOptions* copts_ = nullptr;
   const std::vector<TypePoints>* tables_ = nullptr;
   std::unique_ptr<control::Controller> controller_;
-  double shard_share_ = 1.0;
   std::size_t dispatchable_ = 0;
   Seconds last_tick_{};
   bool event_tick_pending_ = false;
   bool arrivals_done_ = false;
-  std::size_t preload_total_ = 0;
-  std::size_t preload_fired_ = 0;
   const std::vector<Arrival>* assigned_ = nullptr;
   std::size_t assigned_cursor_ = 0;
   std::vector<RequestRecord> records_;
@@ -1113,8 +1060,6 @@ class Engine final : public control::Actuator {
   std::unique_ptr<obs::stream::Collector> stream_;
   std::unique_ptr<obs::stream::FlightRecorder> frec_;
   std::vector<obs::stream::DecisionRecord::Transition> tick_transitions_;
-  std::uint32_t shard_index_ = 0;
-  std::uint32_t shard_count_ = 1;
 #if HCEP_OBS
   obs::Observer* o_ = nullptr;
   obs::MetricId offered_m_ = 0, admitted_m_ = 0, shed_m_ = 0, retries_m_ = 0,
@@ -1151,10 +1096,9 @@ double cluster_capacity_per_s(const model::ClusterSpec& cluster,
 namespace {
 
 /// Shared implementation: exactly one of `process` (generated stream)
-/// or `assigned` (explicit time-sorted arrivals) is non-null. The
-/// generated paths execute the exact event and RNG sequence of previous
-/// releases; the assigned path reuses the single-shard event loop with
-/// the generator pump swapped for a lazy cursor over the vector.
+/// or `assigned` (explicit time-sorted arrivals) is non-null. Both run
+/// one event loop over every node; the assigned path swaps the
+/// generator pump for a lazy cursor over the caller's vector.
 TrafficResult run_simulation(const model::ClusterSpec& cluster,
                              const std::vector<TrafficClass>& classes,
                              const ArrivalProcess* process,
@@ -1166,7 +1110,6 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
           "simulate_traffic: need at least one request");
   require(options.retry.max_attempts >= 1,
           "simulate_traffic: retry.max_attempts must be >= 1");
-  require(options.shards >= 1, "simulate_traffic: shards must be >= 1");
   const bool controlled = options.control.enabled();
   if (controlled) {
     require(options.control.period.value() > 0.0,
@@ -1175,12 +1118,8 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
             "simulate_traffic: control.min_event_spacing must be >= 0");
   }
 
-  std::vector<Node> all_nodes = materialize_nodes(cluster, classes);
-  require(options.shards <= all_nodes.size(),
-          "simulate_traffic: more shards than nodes");
+  std::vector<Node> nodes = materialize_nodes(cluster, classes);
   const std::vector<double> cumulative = cumulative_weights(classes);
-  const std::size_t shard_count = options.shards;
-  const std::size_t total_nodes = all_nodes.size();
 
   // Controlled runs additionally materialize the per-type operating-point
   // ladders and stamp each node with its type ordinal + configured point.
@@ -1195,17 +1134,15 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     for (const auto& g : cluster.groups) {
       if (g.count == 0) continue;
       for (unsigned k = 0; k < g.count; ++k, ++ni) {
-        all_nodes[ni].type_ord = gi;
+        nodes[ni].type_ord = gi;
         if (controlled) {
-          all_nodes[ni].point = point_tables[gi].configured;
-          all_nodes[ni].sleep_power = options.control.sleep_power;
+          nodes[ni].point = point_tables[gi].configured;
+          nodes[ni].sleep_power = options.control.sleep_power;
         }
       }
       ++gi;
     }
   }
-  const std::vector<TypePoints>* tables_ptr =
-      controlled ? &point_tables : nullptr;
 
   // Node-class identity rows of the streamed timeline: one per present
   // group, in spec order — the same ordinals type_ord indexes.
@@ -1217,148 +1154,40 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
           g.spec.name, static_cast<std::uint64_t>(g.count)});
     }
   }
-  const std::vector<obs::stream::NodeClassInfo>* stream_ptr =
-      streaming ? &stream_classes : nullptr;
 
-  std::vector<std::unique_ptr<Engine>> engines;
-  std::string process_name;
-
-  if (shard_count == 1) {
-    // Classic path: one event loop, generator sampled in-loop. This is
-    // byte-identical (same RNG draw order, same event sequence) to the
-    // pre-sharding implementation. Assigned-arrival runs reuse this loop
-    // with the pump swapped for a lazy cursor over the caller's vector.
-    auto sim = std::make_unique<des::Simulator>();
-    engines.push_back(std::make_unique<Engine>(
-        *sim, classes, cumulative, options, std::move(all_nodes),
-        assigned != nullptr ? assigned->size() : options.requests,
-        Rng(options.seed), /*tracing=*/true, tables_ptr,
-        /*shard_share=*/1.0, stream_ptr, /*shard_index=*/0));
-    engines[0]->start_control();
-    if (assigned != nullptr) {
-      process_name = "assigned";
-      engines[0]->start_assigned(*assigned);
-    } else {
-      std::unique_ptr<ArrivalProcess> gen = process->clone();
-      process_name = gen->name();
-      engines[0]->start_pump(*gen);
-    }
-    sim->run();
+  des::Simulator sim;
+  Engine engine(sim, classes, cumulative, options, std::move(nodes),
+                assigned != nullptr ? assigned->size() : options.requests,
+                controlled ? &point_tables : nullptr,
+                streaming ? &stream_classes : nullptr);
+  engine.start_control();
+  TrafficResult out;
+  if (assigned != nullptr) {
+    out.arrival_process = "assigned";
+    engine.start_assigned(*assigned);
   } else {
-    // Sharded path: the arrival stream (time and class of every request)
-    // is generated up front from the seed — the same stream regardless
-    // of shard count — then requests and nodes are partitioned
-    // round-robin across shards. Shards share no mutable state, so the
-    // windows can run in parallel; per-request tracer spans are disabled
-    // (thread interleaving would make the trace nondeterministic) while
-    // the atomic metrics counters stay on.
-    std::unique_ptr<ArrivalProcess> gen = process->clone();
-    process_name = gen->name();
-    Rng arrival_rng(options.seed);
-    std::vector<std::vector<Arrival>> shard_arrivals(shard_count);
-    std::vector<std::vector<std::uint64_t>> shard_indices(shard_count);
-    Seconds t{0.0};
-    for (std::uint64_t k = 0; k < options.requests; ++k) {
-      t = gen->next(t, arrival_rng);
-      if (!(t.value() < std::numeric_limits<double>::infinity())) break;
-      std::size_t cls = 0;
-      if (classes.size() > 1) {
-        const double coin = arrival_rng.uniform01();
-        while (cls + 1 < classes.size() && coin > cumulative[cls]) ++cls;
-      }
-      shard_arrivals[k % shard_count].push_back(
-          Arrival{t, static_cast<std::uint32_t>(cls)});
-      shard_indices[k % shard_count].push_back(k);
-    }
-
-    std::vector<std::vector<Node>> shard_nodes(shard_count);
-    for (std::size_t i = 0; i < all_nodes.size(); ++i)
-      shard_nodes[i % shard_count].push_back(std::move(all_nodes[i]));
-
-    // The traffic shards exchange no cross-shard events, so the
-    // conservative window can span the whole run: one window, one
-    // barrier, full parallelism.
-    des::ShardedSimulator sharded(shard_count, Seconds{1e300});
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      // Each shard's controller clone governs its node slice against a
-      // proportional share of any global budget.
-      const double share = static_cast<double>(shard_nodes[s].size()) /
-                           static_cast<double>(total_nodes);
-      engines.push_back(std::make_unique<Engine>(
-          sharded.shard(s), classes, cumulative, options,
-          std::move(shard_nodes[s]),
-          options.requests / shard_count + 1,
-          Rng(options.seed).split(static_cast<unsigned>(s)),
-          /*tracing=*/false, tables_ptr, share, stream_ptr,
-          static_cast<std::uint32_t>(s)));
-      engines[s]->preload(shard_arrivals[s], shard_indices[s]);
-      engines[s]->start_control();
-    }
-    sharded.run(options.parallel_shards);
+    out.arrival_process = process->name();
+    engine.start_pump(*process);
   }
+  sim.run();
 
   // ------------------------------------------------------------ summaries
-  // Merge in shard order — deterministic for a fixed (seed, shards).
-  TrafficResult out;
-  out.arrival_process = process_name;
-  out.shards = shard_count;
-
-  std::vector<ClassSamples> per_class(classes.size());
-  Joules dynamic_energy{0.0};
-  Seconds makespan{0.0};
-  std::vector<Node*> merged_nodes;
-  for (auto& e : engines) {
-    out.offered += e->offered;
-    out.admitted += e->admitted;
-    out.shed_bucket += e->shed_bucket;
-    out.shed_queue += e->shed_queue;
-    out.retries += e->retries;
-    out.completed += e->completed;
-    out.failed += e->failed;
-    dynamic_energy += e->dynamic_energy();
-    makespan = std::max(makespan, e->makespan());
-    for (std::size_t s = 0; s < classes.size(); ++s) {
-      ClassSamples& dst = per_class[s];
-      ClassSamples& src = e->per_class()[s];
-      dst.offered += src.offered;
-      dst.admitted += src.admitted;
-      dst.shed += src.shed;
-      dst.retries += src.retries;
-      dst.completed += src.completed;
-      dst.failed += src.failed;
-      dst.slo_violations += src.slo_violations;
-      dst.dynamic_energy += src.dynamic_energy;
-      if (engines.size() == 1) {
-        dst.wait = std::move(src.wait);
-        dst.service = std::move(src.service);
-        dst.sojourn = std::move(src.sojourn);
-      } else {
-        dst.wait.insert(dst.wait.end(), src.wait.begin(), src.wait.end());
-        dst.service.insert(dst.service.end(), src.service.begin(),
-                           src.service.end());
-        dst.sojourn.insert(dst.sojourn.end(), src.sojourn.begin(),
-                           src.sojourn.end());
-      }
-    }
-    for (Node& n : e->nodes()) merged_nodes.push_back(&n);
-  }
+  out.offered = engine.offered;
+  out.admitted = engine.admitted;
+  out.shed_bucket = engine.shed_bucket;
+  out.shed_queue = engine.shed_queue;
+  out.retries = engine.retries;
+  out.completed = engine.completed;
+  out.failed = engine.failed;
+  const Seconds makespan = engine.makespan();
+  std::vector<ClassSamples>& per_class = engine.per_class();
 
   if (options.record_requests) {
-    std::size_t total_records = 0;
-    for (auto& e : engines) total_records += e->records().size();
-    out.requests.reserve(total_records);
-    for (auto& e : engines) {
-      if (engines.size() == 1) {
-        out.requests = std::move(e->records());
-      } else {
-        out.requests.insert(out.requests.end(), e->records().begin(),
-                            e->records().end());
-      }
-    }
-    // Every request ends in exactly one record, and arrival indices are
-    // unique in [0, offered): swap each record into the slot its index
-    // names, which also proves the indices a permutation. The vector is
-    // then in index order, identical for any shard count.
+    // Every request ends in exactly one record, appended at completion;
+    // arrival indices are unique in [0, offered): swap each record into
+    // the slot its index names, which also proves the indices a
+    // permutation. The vector is then in index order.
+    out.requests = std::move(engine.records());
     require(out.requests.size() == out.offered,
             "simulate_traffic: request records do not match offered");
     for (std::size_t i = 0; i < out.requests.size(); ++i) {
@@ -1372,17 +1201,13 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
     }
   }
 
+  const std::vector<Node>& final_nodes = engine.nodes();
   Watts idle_floor{0.0};
-  for (const Node* n : merged_nodes) idle_floor += n->idle;
+  for (const Node& n : final_nodes) idle_floor += n.idle;
   const Joules idle_energy = idle_floor * makespan;
   out.makespan = makespan;
 
-  if (streaming) {
-    std::vector<obs::stream::Collector*> collectors;
-    for (auto& e : engines) collectors.push_back(e->stream());
-    out.timeline =
-        obs::stream::Collector::merge_finalize(collectors, makespan);
-  }
+  if (streaming) out.timeline = engine.stream()->finalize(makespan);
 
   // Shared (non-request-attributable) energy: the idle floor, minus what
   // power gating saved, plus wake transients. With no controller — or a
@@ -1390,40 +1215,19 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
   // arithmetic below reproduces the open-loop energy bit-for-bit.
   Joules shared_energy = idle_energy;
   if (controlled) {
-    for (auto& e : engines) e->finalize_control(makespan);
-    control::ControlSummary& merged = out.control;
-    merged.enabled = true;
-    merged.controller = engines[0]->control_summary().controller;
-    merged.all_dispatches_available = true;
-    for (auto& e : engines) {
-      const control::ControlSummary& cs = e->control_summary();
-      merged.ticks += cs.ticks;
-      merged.event_ticks += cs.event_ticks;
-      merged.sleeps += cs.sleeps;
-      merged.wakes += cs.wakes;
-      merged.point_changes += cs.point_changes;
-      merged.gating_savings += cs.gating_savings;
-      merged.wake_energy += cs.wake_energy;
-      merged.all_dispatches_available =
-          merged.all_dispatches_available && cs.all_dispatches_available;
-    }
-    if (options.control.flight_recorder) {
-      std::vector<const obs::stream::FlightRecorder*> recorders;
-      for (auto& e : engines)
-        recorders.push_back(&e->control_summary().flight);
-      merged.flight = obs::stream::FlightRecorder::merge(recorders);
-    }
-    shared_energy = shared_energy - merged.gating_savings +
-                    merged.wake_energy;
+    engine.finalize_control(makespan);
+    out.control = std::move(engine.control_summary());
+    shared_energy = shared_energy - out.control.gating_savings +
+                    out.control.wake_energy;
     if (options.control.record_power_trace) {
-      // Rebuild the rack power profile from the per-engine delta
-      // ledgers: base idle floor at t = 0, then every dispatch /
-      // completion / sleep / wake delta, coalesced per timestamp.
-      std::vector<std::pair<double, double>> deltas;
-      deltas.emplace_back(0.0, idle_floor.value());
-      for (auto& e : engines) {
-        deltas.insert(deltas.end(), e->ledger().begin(), e->ledger().end());
-      }
+      // Rebuild the rack power profile from the delta ledger: base idle
+      // floor at t = 0, then every dispatch / completion / sleep / wake
+      // delta, coalesced per timestamp. A dispatch appends its
+      // completion delta ahead of the clock, so the ledger is not in
+      // time order: sort it (stably, so same-time deltas keep their
+      // order).
+      std::vector<std::pair<double, double>>& deltas = engine.ledger();
+      deltas.emplace(deltas.begin(), 0.0, idle_floor.value());
       std::stable_sort(deltas.begin(), deltas.end(),
                        [](const auto& a, const auto& b) {
                          return a.first < b.first;
@@ -1436,12 +1240,12 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
           level += deltas[k].second;
           ++k;
         }
-        merged.trace.step(Seconds{t}, Watts{level});
+        out.control.trace.step(Seconds{t}, Watts{level});
       }
     }
   }
 
-  out.energy = shared_energy + dynamic_energy;
+  out.energy = shared_energy + engine.dynamic_energy();
   if (makespan.value() > 0.0) out.average_power = out.energy / makespan;
   if (out.completed > 0)
     out.energy_per_request = out.energy / static_cast<double>(out.completed);
@@ -1484,21 +1288,21 @@ TrafficResult run_simulation(const model::ClusterSpec& cluster,
 
   // Per node type (dispatch-result convention: busy fraction is averaged
   // over the nodes of the type).
-  for (const Node* n : merged_nodes) {
+  for (const Node& n : final_nodes) {
     auto it = std::find_if(
         out.nodes.begin(), out.nodes.end(),
-        [&](const NodeLoad& l) { return l.node_name == n->type; });
+        [&](const NodeLoad& l) { return l.node_name == n.type; });
     if (it == out.nodes.end()) {
-      out.nodes.push_back(NodeLoad{n->type, 0, 0.0});
+      out.nodes.push_back(NodeLoad{n.type, 0, 0.0});
       it = out.nodes.end() - 1;
     }
-    it->jobs_served += n->served;
-    it->busy_fraction += n->busy_time.value();
+    it->jobs_served += n.served;
+    it->busy_fraction += n.busy_time.value();
   }
   for (auto& l : out.nodes) {
     double count = 0;
-    for (const Node* n : merged_nodes)
-      if (n->type == l.node_name) count += 1.0;
+    for (const Node& n : final_nodes)
+      if (n.type == l.node_name) count += 1.0;
     if (makespan.value() > 0.0)
       l.busy_fraction /= std::max(1.0, count) * makespan.value();
   }
@@ -1518,9 +1322,6 @@ TrafficResult simulate_traffic(const model::ClusterSpec& cluster,
                                const std::vector<TrafficClass>& classes,
                                const std::vector<Arrival>& arrivals,
                                const TrafficOptions& options) {
-  require(options.shards == 1,
-          "simulate_traffic: assigned arrivals require shards == 1 (the "
-          "routing tier owns any parallelism)");
   require(std::is_sorted(arrivals.begin(), arrivals.end(),
                          [](const Arrival& a, const Arrival& b) {
                            return a.t < b.t;
@@ -1539,10 +1340,6 @@ JsonValue TrafficResult::to_json() const {
   JsonValue o = JsonValue::object();
   o.set("schema_version", JsonValue::number(std::int64_t{1}));
   o.set("arrival_process", JsonValue::string(arrival_process));
-  // Emitted only for sharded runs: the single-shard document stays
-  // byte-identical with pre-sharding releases.
-  if (shards > 1)
-    o.set("shards", JsonValue::number(static_cast<std::int64_t>(shards)));
   o.set("offered", JsonValue::number(static_cast<std::int64_t>(offered)));
   o.set("admitted", JsonValue::number(static_cast<std::int64_t>(admitted)));
   o.set("shed_bucket",

@@ -53,10 +53,9 @@ std::vector<TrafficClass> one_class(const std::string& name = "EP") {
 /// Open-loop vs frozen-controller runs must be byte-identical: same JSON
 /// bytes and bitwise-equal energy. Exercised over every code path the
 /// control plane hooks: plain runs, admission + retries, multi-class,
-/// and sharded execution.
+/// and both together.
 struct OracleCase {
   const char* label;
-  std::size_t shards;
   bool admission;
   bool multi_class;
 };
@@ -78,7 +77,6 @@ TEST_P(FrozenOracle, ReproducesOpenLoopByteIdentically) {
   TrafficOptions open;
   open.requests = 4000;
   open.seed = 20260809;
-  open.shards = c.shards;
   open.policy = std::get<1>(GetParam());
   if (c.admission) {
     open.admission.bucket_rate_per_s = 60.0;
@@ -131,11 +129,10 @@ std::string policy_label(DispatchPolicy policy) {
 INSTANTIATE_TEST_SUITE_P(
     Paths, FrozenOracle,
     ::testing::Combine(
-        ::testing::Values(OracleCase{"plain", 1, false, false},
-                          OracleCase{"admission", 1, true, false},
-                          OracleCase{"multiclass", 1, false, true},
-                          OracleCase{"sharded", 3, false, false},
-                          OracleCase{"sharded_admission", 3, true, true}),
+        ::testing::Values(OracleCase{"plain", false, false},
+                          OracleCase{"admission", true, false},
+                          OracleCase{"multiclass", false, true},
+                          OracleCase{"admission_multiclass", true, true}),
         ::testing::ValuesIn(all_dispatch_policies())),
     [](const auto& inst) {
       return std::string(std::get<0>(inst.param).label) + "_" +
@@ -192,24 +189,6 @@ TEST(Control, SameSeedControlledRunsAreByteIdentical) {
   EXPECT_EQ(a.control.to_json().dump(), b.control.to_json().dump());
   EXPECT_EQ(a.control.gating_savings.value(),
             b.control.gating_savings.value());
-}
-
-TEST(Control, ControlledShardsSerialAndParallelAreByteIdentical) {
-  const auto cluster = model::make_a9_k10_cluster(8, 4);
-  TrafficOptions options;
-  options.requests = 12000;
-  options.seed = 21;
-  options.shards = 3;
-  options.control.controller = control::make_power_gate({});
-  options.control.period = Seconds{1.0};
-  options.control.wake_delay = Seconds{0.5};
-  const auto par = simulate_traffic(cluster, one_class(),
-                                    *make_poisson(200.0), options);
-  options.parallel_shards = false;
-  const auto ser = simulate_traffic(cluster, one_class(),
-                                    *make_poisson(200.0), options);
-  EXPECT_EQ(par.to_json().dump(), ser.to_json().dump());
-  EXPECT_EQ(par.control.to_json().dump(), ser.control.to_json().dump());
 }
 
 // ------------------------------------------------------------ behaviors

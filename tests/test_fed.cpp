@@ -328,17 +328,11 @@ TEST(AssignedArrivals, ReplaysExplicitStreamAndRecordsOutcomes) {
   }
 }
 
-TEST(AssignedArrivals, ValidatesShardsOrderAndClasses) {
+TEST(AssignedArrivals, ValidatesOrderAndClasses) {
   const auto cluster = model::make_a9_k10_cluster(0, 1);
   const std::vector<traffic::TrafficClass> classes = {
       {wl("memcached"), 1.0, traffic::SloTarget{}}};
   traffic::TrafficOptions options;
-  options.shards = 2;
-  const std::vector<traffic::Arrival> ok = {{Seconds{0.0}, 0},
-                                            {Seconds{1.0}, 0}};
-  EXPECT_THROW((void)simulate_traffic(cluster, classes, ok, options),
-               PreconditionError);
-  options.shards = 1;
   const std::vector<traffic::Arrival> unsorted = {{Seconds{1.0}, 0},
                                                   {Seconds{0.0}, 0}};
   EXPECT_THROW((void)simulate_traffic(cluster, classes, unsorted, options),

@@ -202,18 +202,42 @@ TEST(LintAnalyzer, SharedMutableStaticNeedsReachability) {
 
   lint::FileFacts plain_user = lint::analyze_source(
       "#include \"hcep/shared/c.hpp\"\nvoid f();\n", "src/cluster/a.cpp");
-  lint::FileFacts shard_user = lint::analyze_source(
+  lint::FileFacts parallel_user = lint::analyze_source(
       "#include \"hcep/shared/c.hpp\"\nvoid g() { parallel_for(0, 4); }\n",
       "src/cluster/b.cpp");
 
-  // Header + non-shard user: unreachable, no finding.
+  // Header + plain user: unreachable, no finding.
   EXPECT_TRUE(lint::project_findings({header, plain_user}).empty());
-  // Header + shard user: reachable, fires.
+  // Header + parallel_for user: reachable, fires.
   const std::vector<lint::Finding> cross =
-      lint::project_findings({header, plain_user, shard_user});
+      lint::project_findings({header, plain_user, parallel_user});
   ASSERT_EQ(cross.size(), 1u);
   EXPECT_EQ(cross[0].rule, "shared-mutable-static");
   EXPECT_EQ(cross[0].file, "src/include/hcep/shared/c.hpp");
+}
+
+TEST(LintAnalyzer, ReachabilityContinuesThroughTheImplementingTu) {
+  // A parallel_for TU calls engine.hpp's API; engine.cpp implements it
+  // and includes the kernel header, so the kernel runs on the pool too.
+  const lint::FileFacts kernel = lint::analyze_source(
+      "static int g_events = 0;\n", "src/include/hcep/sim/kernel.hpp");
+  const lint::FileFacts api = lint::analyze_source(
+      "void run_engine();\n", "src/include/hcep/sim/engine.hpp");
+  const lint::FileFacts impl = lint::analyze_source(
+      "#include \"hcep/sim/engine.hpp\"\n#include \"hcep/sim/kernel.hpp\"\n"
+      "void run_engine() {}\n",
+      "src/sim/engine.cpp");
+  const lint::FileFacts fan_out = lint::analyze_source(
+      "#include \"hcep/sim/engine.hpp\"\n"
+      "void f() { parallel_for(0, 4, run_engine); }\n",
+      "src/fleet/fleet.cpp");
+
+  const std::vector<lint::Finding> cross =
+      lint::project_findings({kernel, api, impl, fan_out});
+  ASSERT_EQ(cross.size(), 1u);
+  EXPECT_EQ(cross[0].file, "src/include/hcep/sim/kernel.hpp");
+  // Without the fan-out TU nothing roots the walk.
+  EXPECT_TRUE(lint::project_findings({kernel, api, impl}).empty());
 }
 
 // --- SARIF -------------------------------------------------------------------
@@ -259,7 +283,7 @@ TEST(LintCache, RoundTripAndInvalidation) {
   lint::FileFacts facts;
   facts.path = "src/a.cpp";
   facts.includes = {"hcep/util/units.hpp"};
-  facts.uses_shard_markers = true;
+  facts.uses_parallel_for = true;
   facts.mutable_statics.push_back({7, "g_x"});
   facts.findings.push_back({"src/a.cpp", 3, "banned-call", "msg\twith tab"});
 
@@ -275,7 +299,7 @@ TEST(LintCache, RoundTripAndInvalidation) {
   auto hit = loaded.lookup("src/a.cpp", {100, 555, 0});
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->includes, facts.includes);
-  EXPECT_TRUE(hit->uses_shard_markers);
+  EXPECT_TRUE(hit->uses_parallel_for);
   ASSERT_EQ(hit->findings.size(), 1u);
   EXPECT_EQ(hit->findings[0].message, "msg\twith tab");
 

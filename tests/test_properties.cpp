@@ -7,7 +7,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -340,8 +339,7 @@ std::unique_ptr<traffic::ArrivalProcess> control_arrivals(
 ///  - POWER CAP: under the cap enforcer, no step of the rack trace ever
 ///    exceeds the cap — not even between ticks (enforcement acts on
 ///    worst-case busy power, so a wake transient cannot overshoot),
-///  - DETERMINISM: same-seed reruns are byte-identical, and sharded runs
-///    are byte-identical between serial and parallel shard execution.
+///  - DETERMINISM: same-seed reruns are byte-identical.
 class ControlledTraffic : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ControlledTraffic, ClosedLoopInvariantsHoldOverRandomizedTriples) {
@@ -376,7 +374,6 @@ TEST_P(ControlledTraffic, ClosedLoopInvariantsHoldOverRandomizedTriples) {
         traffic::TrafficOptions opts;
         opts.requests = 1000;
         opts.seed = seed * 1000 + triples;
-        opts.shards = (triples % 2 == 0) ? 1 : 3;
         opts.control.period = Seconds{span / 12.0};
         opts.control.min_event_spacing = Seconds{span / 48.0};
         opts.control.wake_delay = Seconds{span / 24.0};
@@ -444,12 +441,8 @@ TEST_P(ControlledTraffic, ClosedLoopInvariantsHoldOverRandomizedTriples) {
           }
         }
 
-        // DETERMINISM: rerun byte-identical; sharded runs additionally
-        // byte-identical between serial and parallel shard execution.
-        traffic::TrafficOptions again = opts;
-        again.parallel_shards = (opts.shards == 1) || !opts.parallel_shards;
-        const auto r2 =
-            simulate_traffic(cluster, classes, *arrivals, again);
+        // DETERMINISM: a same-seed rerun is byte-identical.
+        const auto r2 = simulate_traffic(cluster, classes, *arrivals, opts);
         ASSERT_EQ(r.to_json().dump(), r2.to_json().dump()) << tag;
         ASSERT_EQ(r.control.to_json().dump(), r2.control.to_json().dump())
             << tag;
@@ -458,7 +451,7 @@ TEST_P(ControlledTraffic, ClosedLoopInvariantsHoldOverRandomizedTriples) {
         // STREAMED TIMELINE: conservation laws tie the windowed
         // aggregates back to the run's exact totals, and the streamed
         // view is as deterministic as the run itself (byte-identical
-        // across the rerun, which flips serial vs parallel shards).
+        // across the rerun).
         const obs::stream::StreamTimeline& tl = r.timeline;
         ASSERT_FALSE(tl.empty()) << tag;
         ASSERT_EQ(tl.to_json().dump(), r2.timeline.to_json().dump()) << tag;
@@ -514,38 +507,30 @@ TEST_P(ControlledTraffic, ClosedLoopInvariantsHoldOverRandomizedTriples) {
 
         // FLIGHT RECORDER: every controller tick is in the ledger, with
         // predictions populated and realized effects filled one window
-        // later (only a shard's final tick may stay unrealized).
+        // later (only the run's final tick may stay unrealized).
         const obs::stream::FlightRecorder& fr = r.control.flight;
         ASSERT_EQ(fr.size(), r.control.ticks) << tag;
         EXPECT_EQ(fr.dropped(), 0u) << tag;
-        std::map<std::uint32_t, std::uint64_t> last_tick;
         for (std::size_t i = 0; i < fr.size(); ++i) {
           const auto& rec = fr.at(i);
-          auto [it, fresh] = last_tick.try_emplace(rec.shard, rec.tick);
-          if (!fresh) it->second = std::max(it->second, rec.tick);
-        }
-        for (std::size_t i = 0; i < fr.size(); ++i) {
-          const auto& rec = fr.at(i);
+          ASSERT_EQ(rec.tick, i) << tag;
           ASSERT_GT(rec.predicted_power.value(), 0.0)
               << tag << " tick=" << rec.tick;
-          if (rec.tick < last_tick[rec.shard]) {
-            ASSERT_TRUE(rec.realized_valid)
-                << tag << " shard=" << rec.shard << " tick=" << rec.tick;
+          if (i + 1 < fr.size()) {
+            ASSERT_TRUE(rec.realized_valid) << tag << " tick=" << rec.tick;
             ASSERT_GT(rec.realized_power.value(), 0.0)
                 << tag << " tick=" << rec.tick;
           }
         }
 
         // SKETCH ACCURACY vs exact order statistics: a randomized
-        // (n, epsilon, distribution, shard split) instance per triple —
-        // 256 instances across the suite's four seeds.
+        // (n, epsilon, distribution) instance per triple — 256 instances
+        // across the suite's four seeds.
         {
           Rng srng(seed * 104729 + triples * 53);
           const std::size_t n = 200 + srng.uniform_int(3000);
           const double eps = srng.uniform(0.002, 0.02);
-          const std::size_t parts = 1 + triples % 3;
-          std::vector<obs::stream::QuantileSketch> shard_sk;
-          for (std::size_t p = 0; p < parts; ++p) shard_sk.emplace_back(eps);
+          obs::stream::QuantileSketch sk{eps};
           std::vector<double> values;
           values.reserve(n);
           for (std::size_t i = 0; i < n; ++i) {
@@ -557,10 +542,8 @@ TEST_P(ControlledTraffic, ClosedLoopInvariantsHoldOverRandomizedTriples) {
               default: v = 1e3 + srng.uniform(0.0, 1e3); break;
             }
             values.push_back(v);
-            shard_sk[i % parts].insert(v);
+            sk.insert(v);
           }
-          obs::stream::QuantileSketch sk = std::move(shard_sk[0]);
-          for (std::size_t p = 1; p < parts; ++p) sk.merge(shard_sk[p]);
           ASSERT_EQ(sk.count(), n) << tag;
           ASSERT_LE(sk.buckets(), obs::stream::QuantileSketch::max_buckets())
               << tag;

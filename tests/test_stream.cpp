@@ -4,8 +4,8 @@
 // Three pillars:
 //  1. The QuantileSketch is HONEST: quantile(q) always lands within the
 //     reported epsilon() relative value-error bound of the exact order
-//     statistic, at scale and after shard merges — and its memory never
-//     exceeds the hard bucket cap.
+//     statistic, at scale — and its memory never exceeds the hard bucket
+//     cap.
 //  2. The Collector is EXACT where it claims to be: per-window energy
 //     and busy time are closed-form integrals of the same deltas the
 //     power trace records (hand-computed scenarios here; the 1e-9
@@ -135,40 +135,6 @@ TEST(QuantileSketch, EscalatesHonestlyUnderBucketCapPressure) {
     expect_within_value_bounds(sk, sorted, q, "escalated");
 }
 
-TEST(QuantileSketch, ShardMergeTakesMaxBoundAndKeepsGuarantee) {
-  Rng rng(23);
-  std::vector<double> values;
-  for (int i = 0; i < 30000; ++i) values.push_back(rng.exponential(1.0));
-
-  QuantileSketch a{0.004};
-  QuantileSketch b{0.006};
-  QuantileSketch c{0.004};
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    (i % 3 == 0 ? a : i % 3 == 1 ? b : c).insert(values[i]);
-  }
-  const double worst =
-      std::max({a.epsilon(), b.epsilon(), c.epsilon()});
-  a.merge(b);
-  a.merge(c);
-  EXPECT_EQ(a.count(), values.size());
-  EXPECT_LE(a.buckets(), QuantileSketch::max_buckets());
-  // Bucket counts add, so the merged bound is the coarsest shard's
-  // bound — it does NOT grow additively.
-  EXPECT_DOUBLE_EQ(a.epsilon(), worst);
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  for (const double q : {0.01, 0.25, 0.5, 0.9, 0.95, 0.99})
-    expect_within_value_bounds(a, sorted, q, "merged");
-
-  // Merging into an empty sketch adopts the other's samples.
-  QuantileSketch fresh{0.05};
-  QuantileSketch one{0.01};
-  one.insert(3.0);
-  fresh.merge(one);
-  EXPECT_EQ(fresh.count(), 1u);
-  EXPECT_NEAR(fresh.quantile(0.5), 3.0, fresh.epsilon() * 3.0);
-}
-
 TEST(QuantileSketch, DeterministicForAFixedInsertSequence) {
   Rng rng(5);
   QuantileSketch a{0.01};
@@ -228,7 +194,7 @@ TEST(Collector, HandComputedWindowsAreExact) {
   c.on_complete(0, Seconds{1.5}, Seconds{1.3});
   c.on_shed(Seconds{1.6});
 
-  const StreamTimeline tl = Collector::merge_finalize({&c}, Seconds{2.0});
+  const StreamTimeline tl = c.finalize(Seconds{2.0});
   ASSERT_EQ(tl.windows.size(), 2u);
   ASSERT_EQ(tl.node_classes.size(), 1u);
   EXPECT_EQ(tl.node_classes[0].nodes, 2u);
@@ -271,7 +237,7 @@ TEST(Collector, BoundaryEventsLandInTheNewWindow) {
   opt.window = Seconds{1.0};
   Collector c(opt, {NodeClassInfo{"A9", 1}}, {Watts{2.0}});
   c.on_arrival(Seconds{1.0});  // exactly at the 0/1 boundary
-  const StreamTimeline tl = Collector::merge_finalize({&c}, Seconds{2.0});
+  const StreamTimeline tl = c.finalize(Seconds{2.0});
   ASSERT_EQ(tl.windows.size(), 2u);
   EXPECT_EQ(tl.windows[0].arrivals, 0u);
   EXPECT_EQ(tl.windows[1].arrivals, 1u);
@@ -284,7 +250,7 @@ TEST(Collector, FloorDeltasAndWakeLumpsAreChargedToTheRightWindow) {
   c.on_floor_delta(0, Seconds{0.5}, Watts{-4.0});  // gate to sleep
   c.on_floor_delta(0, Seconds{1.25}, Watts{4.0});  // wake
   c.on_wake_energy(0, Seconds{1.25}, Joules{2.5});
-  const StreamTimeline tl = Collector::merge_finalize({&c}, Seconds{2.0});
+  const StreamTimeline tl = c.finalize(Seconds{2.0});
   ASSERT_EQ(tl.windows.size(), 2u);
   EXPECT_NEAR(tl.windows[0].energy.value(), 10.0 * 0.5 + 6.0 * 0.5, 1e-12);
   EXPECT_NEAR(tl.windows[1].energy.value(), 6.0 * 0.25 + 10.0 * 0.75,
@@ -295,29 +261,32 @@ TEST(Collector, FloorDeltasAndWakeLumpsAreChargedToTheRightWindow) {
               8.0 + 9.0 + 2.5, 1e-12);
 }
 
-TEST(Collector, ShardMergeSumsCountsAndMergesSketches) {
+TEST(Collector, WindowQuantilesReadTheWindowSketch) {
   StreamOptions opt;
   opt.window = Seconds{1.0};
-  Collector a(opt, {NodeClassInfo{"A9", 1}}, {Watts{3.0}});
-  Collector b(opt, {NodeClassInfo{"A9", 2}}, {Watts{6.0}});
-  a.on_arrival(Seconds{0.1});
-  a.on_complete(0, Seconds{0.6}, Seconds{0.5});
-  b.on_arrival(Seconds{0.2});
-  b.on_arrival(Seconds{0.3});
-  b.on_complete(0, Seconds{0.7}, Seconds{0.4});
-  const StreamTimeline tl =
-      Collector::merge_finalize({&a, &b}, Seconds{1.0});
-  ASSERT_EQ(tl.windows.size(), 1u);
-  EXPECT_EQ(tl.node_classes[0].nodes, 3u);  // fleets add
+  Collector c(opt, {NodeClassInfo{"A9", 3}}, {Watts{9.0}});
+  c.on_arrival(Seconds{0.1});
+  c.on_arrival(Seconds{0.2});
+  c.on_arrival(Seconds{0.3});
+  c.on_complete(0, Seconds{0.6}, Seconds{0.5});
+  c.on_complete(0, Seconds{0.7}, Seconds{0.4});
+  c.on_complete(0, Seconds{1.2}, Seconds{0.9});  // next window's sketch
+  const StreamTimeline tl = c.finalize(Seconds{1.5});
+  ASSERT_EQ(tl.windows.size(), 2u);
+  EXPECT_EQ(tl.node_classes[0].nodes, 3u);
   EXPECT_EQ(tl.windows[0].arrivals, 3u);
   EXPECT_EQ(tl.windows[0].completions, 2u);
   EXPECT_EQ(tl.windows[0].sojourn_count, 2u);
   EXPECT_NEAR(tl.windows[0].energy.value(), 9.0, 1e-12);
-  // Merged sketch over {0.5, 0.4}: the median is the lower value.
+  // Window 0's sketch holds {0.5, 0.4}: the median is the lower value.
   EXPECT_NEAR(tl.windows[0].sojourn_p50.value(), 0.4,
               tl.sketch_epsilon * 0.4);
   EXPECT_NEAR(tl.windows[0].sojourn_p99.value(), 0.5,
               tl.sketch_epsilon * 0.5);
+  EXPECT_NEAR(tl.windows[1].sojourn_p50.value(), 0.9,
+              tl.sketch_epsilon * 0.9);
+  // The last window is clipped to the horizon: 9 W over 0.5 s.
+  EXPECT_NEAR(tl.windows[1].energy.value(), 4.5, 1e-12);
 }
 
 // ------------------------------------------- serialization and the diff
@@ -335,7 +304,7 @@ StreamTimeline sample_timeline() {
   c.on_dispatch(1, Seconds{1.1}, Seconds{1.1}, Seconds{1.8}, Watts{6.0});
   c.on_complete(1, Seconds{1.8}, Seconds{0.7});
   c.on_shed(Seconds{1.9});
-  return Collector::merge_finalize({&c}, Seconds{2.0});
+  return c.finalize(Seconds{2.0});
 }
 
 TEST(StreamTimeline, JsonRoundTripIsByteIdentical) {
@@ -420,18 +389,16 @@ TEST(TimelineDiff, ShapeMismatchAndMissingWindows) {
 
 // -------------------------------------------------------- flight recorder
 
-DecisionRecord make_record(std::uint64_t tick, std::uint32_t shard,
-                           double t) {
+DecisionRecord make_record(std::uint64_t tick, double t) {
   DecisionRecord r;
   r.tick = tick;
-  r.shard = shard;
   r.t = Seconds{t};
   return r;
 }
 
 TEST(FlightRecorder, DropOldestCountsEvictions) {
   FlightRecorder fr{4};
-  for (std::uint64_t i = 0; i < 6; ++i) fr.append(make_record(i, 0, 1.0));
+  for (std::uint64_t i = 0; i < 6; ++i) fr.append(make_record(i, 1.0));
   EXPECT_EQ(fr.size(), 4u);
   EXPECT_EQ(fr.dropped(), 2u);
   EXPECT_EQ(fr.at(0).tick, 2u);  // oldest records went first
@@ -439,41 +406,24 @@ TEST(FlightRecorder, DropOldestCountsEvictions) {
   EXPECT_EQ(fr.to_json().at("dropped").as_int(), 2);
 }
 
-TEST(FlightRecorder, MergeInterleavesByTimeShardTick) {
-  FlightRecorder a{8};
-  FlightRecorder b{8};
-  a.append(make_record(0, 0, 1.0));
-  a.append(make_record(1, 0, 3.0));
-  b.append(make_record(0, 1, 1.0));
-  b.append(make_record(1, 1, 2.0));
-  const FlightRecorder m = FlightRecorder::merge({&a, &b});
-  ASSERT_EQ(m.size(), 4u);
-  EXPECT_EQ(m.capacity(), 16u);  // capacities add: merging never evicts
-  // (t=1,shard 0), (t=1,shard 1), (t=2,shard 1), (t=3,shard 0).
-  EXPECT_EQ(m.at(0).shard, 0u);
-  EXPECT_EQ(m.at(1).shard, 1u);
-  EXPECT_DOUBLE_EQ(m.at(2).t.value(), 2.0);
-  EXPECT_DOUBLE_EQ(m.at(3).t.value(), 3.0);
-}
-
-TEST(FlightRecorder, MergeRejectsAShardOutOfOrderAndReadsTheRing) {
-  FlightRecorder a{8};
-  a.append(make_record(0, 0, 2.0));
-  a.append(make_record(1, 0, 1.0));
-  EXPECT_THROW((void)FlightRecorder::merge({&a}), PreconditionError);
-  // A wrapped ring merges oldest-first.
+TEST(FlightRecorder, WrappedRingReadsOldestFirst) {
   FlightRecorder ring{3};
   for (std::uint64_t i = 0; i < 5; ++i)
-    ring.append(make_record(i, 0, static_cast<double>(i)));
-  FlightRecorder other{4};
-  other.append(make_record(0, 1, 2.5));
-  const FlightRecorder m = FlightRecorder::merge({&ring, &other});
-  ASSERT_EQ(m.size(), 4u);
-  EXPECT_EQ(m.dropped(), 2u);
-  EXPECT_EQ(m.at(0).tick, 2u);
-  EXPECT_EQ(m.at(1).shard, 1u);
-  EXPECT_EQ(m.at(2).tick, 3u);
-  EXPECT_EQ(m.at(3).tick, 4u);
+    ring.append(make_record(i, static_cast<double>(i)));
+  ASSERT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring.dropped(), 2u);
+  EXPECT_EQ(ring.at(0).tick, 2u);
+  EXPECT_EQ(ring.at(1).tick, 3u);
+  EXPECT_EQ(ring.at(2).tick, 4u);
+  ASSERT_NE(ring.last(), nullptr);
+  EXPECT_EQ(ring.last()->tick, 4u);
+  // The JSON document walks the ring in the same oldest-first order.
+  const JsonValue records = ring.to_json().at("records");
+  ASSERT_EQ(records.size(), 3u);
+  for (std::size_t i = 0; i < records.size(); ++i)
+    EXPECT_EQ(records.at(i).at("tick").as_int(),
+              static_cast<std::int64_t>(i + 2));
+  EXPECT_THROW((void)ring.at(3), PreconditionError);
 }
 
 // ----------------------------------------- end-to-end traffic integration
@@ -538,9 +488,9 @@ TEST(StreamedTraffic, RunReportCarriesTimelineFlightAndWarnings) {
 
   report.timeline = sample_timeline();
   FlightRecorder fr{1};
-  fr.append(make_record(0, 0, 1.0));
-  fr.append(make_record(1, 0, 2.0));  // evicts -> warning
-  report.flight = FlightRecorder::merge({&fr});
+  fr.append(make_record(0, 1.0));
+  fr.append(make_record(1, 2.0));  // evicts -> warning
+  report.flight = fr;
   const std::string with = report.json();
   EXPECT_NE(with.find("\"stream\""), std::string::npos);
   EXPECT_NE(with.find("\"flight\""), std::string::npos);

@@ -281,30 +281,26 @@ TEST(Traffic, SojournSummariesMatchTheRequestRecords) {
   options.record_requests = true;
   const auto arrivals = make_bursty(0.6 * cap, Seconds{400.0 / cap},
                                     1.8 * cap, Seconds{100.0 / cap});
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-    options.shards = shards;
-    const auto r = simulate_traffic(cluster, classes, *arrivals, options);
-    ASSERT_GT(r.shed_bucket, 0u);
-    ASSERT_GT(r.shed_queue, 0u);
-    ASSERT_GT(r.retries, 0u);
-    ASSERT_GT(r.failed, 0u);
-    ASSERT_EQ(r.requests.size(), r.offered);
-    std::vector<double> all;
-    std::vector<std::vector<double>> per_class(classes.size());
-    for (std::size_t i = 0; i < r.requests.size(); ++i) {
-      const RequestRecord& q = r.requests[i];
-      ASSERT_EQ(q.index, i);
-      if (q.failed != 0) continue;
-      all.push_back(q.sojourn.value());
-      per_class[q.cls].push_back(q.sojourn.value());
-    }
-    const std::string what = "shards=" + std::to_string(shards);
-    expect_bit_identical(r.sojourn, LatencySummary::from_samples(all), what);
-    for (std::size_t c = 0; c < classes.size(); ++c)
-      expect_bit_identical(r.classes[c].sojourn,
-                           LatencySummary::from_samples(per_class[c]),
-                           what + " class " + std::to_string(c));
+  const auto r = simulate_traffic(cluster, classes, *arrivals, options);
+  ASSERT_GT(r.shed_bucket, 0u);
+  ASSERT_GT(r.shed_queue, 0u);
+  ASSERT_GT(r.retries, 0u);
+  ASSERT_GT(r.failed, 0u);
+  ASSERT_EQ(r.requests.size(), r.offered);
+  std::vector<double> all;
+  std::vector<std::vector<double>> per_class(classes.size());
+  for (std::size_t i = 0; i < r.requests.size(); ++i) {
+    const RequestRecord& q = r.requests[i];
+    ASSERT_EQ(q.index, i);
+    if (q.failed != 0) continue;
+    all.push_back(q.sojourn.value());
+    per_class[q.cls].push_back(q.sojourn.value());
   }
+  expect_bit_identical(r.sojourn, LatencySummary::from_samples(all), "all");
+  for (std::size_t c = 0; c < classes.size(); ++c)
+    expect_bit_identical(r.classes[c].sojourn,
+                         LatencySummary::from_samples(per_class[c]),
+                         "class " + std::to_string(c));
 }
 
 // ------------------------------------------------------ admission control
@@ -479,62 +475,6 @@ TEST(Traffic, CapacityFollowsClusterSize) {
   const double c2 = cluster_capacity_per_s(two, classes);
   EXPECT_GT(c1, 0.0);
   EXPECT_NEAR(c2, 2.0 * c1, 1e-9 * c1);
-}
-
-// -------------------------------------------------------------- sharding
-
-TEST(TrafficSharded, RepeatedRunsAreByteIdentical) {
-  // Fixed (seed, shards): the serialized result must be byte-identical
-  // across repeated runs AND across serial/parallel shard execution —
-  // the determinism contract of des::ShardedSimulator's window barrier.
-  const auto cluster = model::make_a9_k10_cluster(4, 2);
-  TrafficOptions options;
-  options.requests = 20000;
-  options.seed = 7;
-  options.shards = 3;
-  const auto first =
-      simulate_traffic(cluster, one_class(), *make_poisson(800.0), options);
-  const auto again =
-      simulate_traffic(cluster, one_class(), *make_poisson(800.0), options);
-  options.parallel_shards = false;
-  const auto serial =
-      simulate_traffic(cluster, one_class(), *make_poisson(800.0), options);
-  EXPECT_EQ(first.to_json().dump(), again.to_json().dump());
-  EXPECT_EQ(first.to_json().dump(), serial.to_json().dump());
-  EXPECT_EQ(first.shards, 3u);
-}
-
-TEST(TrafficSharded, ShardedRunConservesRequests) {
-  const auto cluster = model::make_a9_k10_cluster(4, 4);
-  TrafficOptions options;
-  options.requests = 30000;
-  options.shards = 4;
-  const auto r =
-      simulate_traffic(cluster, one_class(), *make_poisson(1000.0), options);
-  EXPECT_EQ(r.offered, options.requests);
-  EXPECT_EQ(r.completed + r.failed, options.requests);
-  EXPECT_EQ(r.completed, options.requests);  // no admission control
-  EXPECT_GT(r.energy.value(), 0.0);
-  std::uint64_t node_completed = 0;
-  for (const auto& n : r.nodes) node_completed += n.jobs_served;
-  EXPECT_EQ(node_completed, r.completed);
-}
-
-TEST(TrafficSharded, SingleShardOptionMatchesDefaultPath) {
-  // shards = 1 must take the classic single-loop path: byte-identical to
-  // an options struct that never mentions sharding.
-  const auto cluster = model::make_a9_k10_cluster(2, 1);
-  TrafficOptions classic;
-  classic.requests = 10000;
-  classic.seed = 11;
-  TrafficOptions explicit_one = classic;
-  explicit_one.shards = 1;
-  explicit_one.parallel_shards = false;
-  const auto a =
-      simulate_traffic(cluster, one_class(), *make_poisson(400.0), classic);
-  const auto b = simulate_traffic(cluster, one_class(), *make_poisson(400.0),
-                                  explicit_one);
-  EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
 }
 
 // ------------------------------------------------------- dispatch policies

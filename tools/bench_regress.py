@@ -24,10 +24,7 @@ fails even on a machine where absolute speed drifted.
 
 The gate compares ``items_per_second`` for serial benchmarks only:
 google-benchmark's CPU timer measures the main benchmark thread, so
-thread-pool variants under-report work and are recorded but never gated
-(the ``des`` suite records BM_ShardedTraffic/1..8 wall-clock scaling this
-way — on a single-core builder the shards serialize, so scaling is
-reported, not gated).
+thread-pool variants under-report work and are recorded but never gated.
 
 Suites may additionally declare ``ratio_gates``: within-run throughput
 ratios between a fast and a slow implementation measured minutes apart at
@@ -39,6 +36,16 @@ sides equally — so they are enforced in smoke runs too. A gate with
 its speedup); a gate with ``max_ratio`` demands it stay BELOW (the slow
 side is an instrumented variant whose overhead is bounded, e.g. the
 control suite's <= 5% tick-overhead gate for the frozen controller).
+
+Every google-benchmark binary runs with ``--benchmark_repetitions=9
+--benchmark_enable_random_interleaving=true``: each benchmark is
+measured nine times, in an order shuffled across the suite, so a burst
+of load on a shared machine lands on both sides of a pair instead of one.
+Absolute gates read each benchmark's median repetition. Ratio gates
+compare the per-side minimum time per item (the fastest repetition of
+each side): the noise on a shared machine only ever adds time, so the
+minimum is the estimate least disturbed by it. Each ratio line prints
+the per-side spread of time per item (min/median/max) next to the ratio.
 
 Usage:
   tools/bench_regress.py [--suite sweep|traffic] [--build-dir build]
@@ -66,9 +73,13 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
+
+# Interleaved repetitions per google-benchmark run (see the docstring).
+REPETITIONS = 9
 
 # Per-suite configuration. ``gated`` lists serial benchmarks with stable
 # CPU-time throughput; everything else is recorded for reference but not
@@ -142,7 +153,7 @@ SUITES = {
         ],
         # Churn iterations execute 2M events each, so even the smoke pass
         # measures the gated ratios at full depth; the 1M-pending pair and
-        # the sharded end-to-end runs are full-suite only.
+        # the end-to-end cluster simulation are full-suite only.
         "smoke_filter": (
             "BM_ChurnCalendar/65536$|BM_ChurnLegacy/65536$|"
             "BM_ChurnBimodalCalendar/65536$|BM_ChurnBimodalLegacy/65536$|"
@@ -289,12 +300,55 @@ def run_lint_suite(build_dir, repo_root, smoke):
 
 
 def run_benchmark(path, min_time, bench_filter=None):
-    cmd = [path, "--benchmark_format=json", f"--benchmark_min_time={min_time}"]
+    cmd = [path, "--benchmark_format=json", f"--benchmark_min_time={min_time}",
+           f"--benchmark_repetitions={REPETITIONS}",
+           "--benchmark_enable_random_interleaving=true"]
     if bench_filter:
         cmd.append(f"--benchmark_filter={bench_filter}")
     out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
     # perf_enumeration prints its footnote-4 startup check before the JSON.
     return json.loads(out[out.index("{"):])
+
+
+def collect_repetitions(doc):
+    """Folds a repeated run's per-repetition entries into one record per
+    benchmark: the median repetition's figures, plus every repetition's
+    ``items_per_second`` under ``repetitions`` (google-benchmark's own
+    mean/median/stddev aggregates are skipped)."""
+    reps = {}
+    for b in doc["benchmarks"]:
+        if b.get("run_type") == "aggregate":
+            continue
+        reps.setdefault(b.get("run_name", b["name"]), []).append(b)
+    measured = {}
+    for name, runs in reps.items():
+        ips = [r.get("items_per_second") for r in runs]
+        if None in ips:
+            median = runs[len(runs) // 2]
+        else:
+            mid = statistics.median_low(ips)
+            median = next(r for r in runs if r["items_per_second"] == mid)
+        measured[name] = {
+            "items_per_second": median.get("items_per_second"),
+            "real_time": median["real_time"],
+            "cpu_time": median["cpu_time"],
+            "time_unit": median["time_unit"],
+            "repetitions": ips,
+        }
+    return measured
+
+
+def ratio_side(entry):
+    """Best throughput of one ratio side (its minimum time per item) and
+    the min/median/max time-per-item spread string, from its repetitions
+    when it has them, else from its single ``items_per_second``."""
+    reps = entry.get("repetitions")
+    if not reps or None in reps:
+        return entry["items_per_second"], "1 run"
+    ns = sorted(1e9 / v for v in reps)
+    spread = (f"{ns[0]:.4g}/{statistics.median(ns):.4g}/{ns[-1]:.4g} "
+              f"ns/item over {len(ns)}")
+    return max(reps), spread
 
 
 def expected_in_run(name, bench_filter):
@@ -308,7 +362,11 @@ def evaluate_gates(suite, measured, baseline, threshold, bench_filter):
     """Evaluates a suite's gates on one run; no I/O.
 
     ``measured`` and ``baseline`` map benchmark names to dicts carrying
-    ``items_per_second``. Returns ``(report, failures)``: one report line
+    ``items_per_second`` (the median repetition, for a repeated run) and,
+    for a repeated run, ``repetitions``: each repetition's
+    ``items_per_second``. Absolute gates read ``items_per_second``; ratio
+    gates read the per-side best repetition (see ratio_side). Returns
+    ``(report, failures)``: one report line
     per evaluated gate, and one failure line per violated gate that names
     the bound it broke. A gated name, or either side of a ratio pair, that
     the run's filter selects but the output lacks is a failure: renaming
@@ -348,7 +406,9 @@ def evaluate_gates(suite, measured, baseline, threshold, bench_filter):
                 failures.append(f"{pair}: {', '.join(missing)} missing "
                                 "from the run")
             continue  # pair filtered out of this run
-        ratio = ips(gate["fast"]) / ips(gate["slow"])
+        fast, fast_spread = ratio_side(measured[gate["fast"]])
+        slow, slow_spread = ratio_side(measured[gate["slow"]])
+        ratio = fast / slow
         bounds, broken = [], []
         if "min_ratio" in gate:
             bounds.append(f"min {gate['min_ratio']:.2f}x")
@@ -359,7 +419,9 @@ def evaluate_gates(suite, measured, baseline, threshold, bench_filter):
             if not ratio <= gate["max_ratio"]:
                 broken.append(f"> max {gate['max_ratio']:.2f}x")
         report.append(f"  {pair}: {ratio:.2f}x ({', '.join(bounds)})  "
-                      f"{'OUT OF BOUNDS' if broken else 'OK'}")
+                      f"{'OUT OF BOUNDS' if broken else 'OK'}\n"
+                      f"      min/median/max: fast {fast_spread}; "
+                      f"slow {slow_spread}")
         if broken:
             failures.append(f"{pair}: {ratio:.2f}x {' and '.join(broken)}")
     return report, failures
@@ -408,13 +470,8 @@ def main():
                 print(f"bench_regress: missing benchmark binary {path}",
                       file=sys.stderr)
                 return 2
-            for b in run_benchmark(path, min_time, bench_filter)["benchmarks"]:
-                measured[b["name"]] = {
-                    "items_per_second": b.get("items_per_second"),
-                    "real_time": b["real_time"],
-                    "cpu_time": b["cpu_time"],
-                    "time_unit": b["time_unit"],
-                }
+            measured.update(collect_repetitions(
+                run_benchmark(path, min_time, bench_filter)))
 
     os.makedirs(os.path.dirname(os.path.abspath(output_path)), exist_ok=True)
     with open(output_path, "w") as f:

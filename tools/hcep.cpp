@@ -68,8 +68,7 @@ int usage() {
          "power_cap|frozen]\n"
          "          [--arrivals diurnal|mmpp|poisson] [--util U] "
          "[--requests N]\n"
-         "          [--seed S] [--shards K] [--period S] [--cap W] "
-         "[--slo-ms MS]\n"
+         "          [--seed S] [--period S] [--cap W] [--slo-ms MS]\n"
          "          [--json path]           closed-loop vs open-loop run\n"
          "  trace <program|synthetic> [path]  traced DES run -> JSONL\n"
          "  profile <trace.jsonl> [--interval S] [--json p] [--folded p] "
@@ -77,8 +76,7 @@ int usage() {
          "                                  analyze an exported trace\n"
          "  timeline <program|synthetic> [--arrivals A] [--util U] "
          "[--requests N]\n"
-         "          [--policy P] [--seed S] [--shards K] [--window S] "
-         "[--epsilon E]\n"
+         "          [--policy P] [--seed S] [--window S] [--epsilon E]\n"
          "          [--json path] [--csv path]  streamed windowed telemetry\n"
          "  diff <a.json> <b.json> [--rel T] [--abs T] [--json path]\n"
          "                                  compare two timeline exports\n"
@@ -845,8 +843,6 @@ int cmd_timeline(const std::vector<std::string>& args) {
       options.requests = std::stoull(value);
     else if (key == "--seed")
       options.seed = std::stoull(value);
-    else if (key == "--shards")
-      options.shards = std::stoull(value);
     else if (key == "--window")
       window_s = std::stod(value);
     else if (key == "--epsilon")
@@ -1042,8 +1038,6 @@ int cmd_control(const std::vector<std::string>& args) {
       options.requests = std::stoull(value);
     else if (key == "--seed")
       options.seed = std::stoull(value);
-    else if (key == "--shards")
-      options.shards = std::stoull(value);
     else if (key == "--period")
       options.control.period = Seconds{std::stod(value)};
     else if (key == "--cap")

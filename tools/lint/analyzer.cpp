@@ -175,7 +175,7 @@ class FileAnalyzer {
     return ends_with(path_, ".hpp") || ends_with(path_, ".h");
   }
 
-  // --- includes + shard markers ---------------------------------------------
+  // --- includes + parallel_for marker -----------------------------------------
 
   void collect_includes_and_markers() {
     for (const Token& t : ts_) {
@@ -188,8 +188,8 @@ class FileAnalyzer {
             facts_.includes.push_back(t.text.substr(q1 + 1, q2 - q1 - 1));
         }
       } else if (t.kind == TokenKind::kIdentifier &&
-                 (t.text == "ShardedSimulator" || t.text == "parallel_for")) {
-        facts_.uses_shard_markers = true;
+                 t.text == "parallel_for") {
+        facts_.uses_parallel_for = true;
       }
     }
   }
@@ -780,19 +780,28 @@ std::vector<Finding> project_findings(const std::vector<FileFacts>& files) {
     return nullptr;
   };
 
-  // BFS from shard-marker TUs over include edges.
+  // BFS from parallel_for TUs over include edges. A reachable public
+  // header src/include/hcep/<m>/<n>.hpp declares functions the pool may
+  // call, so the TU implementing them, src/<m>/<n>.cpp, runs there too:
+  // the walk continues through it (a fleet's parallel_for reaches the
+  // traffic engine's event kernel this way).
   std::set<std::string> reachable;
   std::vector<const FileFacts*> queue;
+  const auto visit = [&](const FileFacts* f) {
+    if (f != nullptr && reachable.insert(f->path).second) queue.push_back(f);
+  };
   for (const auto& f : files)
-    if (f.uses_shard_markers && reachable.insert(f.path).second)
-      queue.push_back(&f);
+    if (f.uses_parallel_for) visit(&f);
+  const std::string prefix = "src/include/hcep/";
   while (!queue.empty()) {
     const FileFacts* f = queue.back();
     queue.pop_back();
-    for (const auto& inc : f->includes) {
-      const FileFacts* target = resolve(f->path, inc);
-      if (target != nullptr && reachable.insert(target->path).second)
-        queue.push_back(target);
+    for (const auto& inc : f->includes) visit(resolve(f->path, inc));
+    if (f->path.rfind(prefix, 0) == 0 && ends_with(f->path, ".hpp")) {
+      const std::string stem = f->path.substr(
+          prefix.size(), f->path.size() - prefix.size() - 4);
+      const auto it = by_path.find("src/" + stem + ".cpp");
+      if (it != by_path.end()) visit(it->second);
     }
   }
 
@@ -803,9 +812,9 @@ std::vector<Finding> project_findings(const std::vector<FileFacts>& files) {
       out.push_back(
           {f.path, ms.line, "shared-mutable-static",
            "mutable static `" + ms.name +
-               "` in a header reachable from ShardedSimulator/"
-               "parallel_for code; shards would race on it — use "
-               "std::atomic, thread_local, const, or per-shard state"});
+               "` in a header reachable from parallel_for code; "
+               "concurrent tasks would race on it — use std::atomic, "
+               "thread_local, const, or per-task state"});
   }
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     if (a.file != b.file) return a.file < b.file;

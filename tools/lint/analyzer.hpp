@@ -4,7 +4,7 @@
 // Pipeline (see docs/STATIC_ANALYSIS.md §2):
 //   lex() -> track_scopes() -> per-file symbol collection + file-local
 //   rules -> FileFacts                          (analyze_source, cacheable)
-//   all FileFacts -> include graph -> shard-reachable set ->
+//   all FileFacts -> include graph -> parallel-reachable set ->
 //   shared-mutable-static findings              (project_findings)
 #pragma once
 
@@ -21,9 +21,10 @@ namespace hcep::lint {
 FileFacts analyze_source(const std::string& source, const std::string& relpath);
 
 /// Cross-file pass: builds the include graph over all analyzed files,
-/// marks everything transitively included by shard-marker TUs
-/// (ShardedSimulator / parallel_for users), and turns MutableStatic
-/// facts in reachable headers into shared-mutable-static findings.
+/// marks everything transitively included by parallel_for TUs (walking
+/// on through the TU that implements each reachable public header), and
+/// turns MutableStatic facts in reachable headers into
+/// shared-mutable-static findings.
 std::vector<Finding> project_findings(const std::vector<FileFacts>& files);
 
 // --- Path classification (shared with the driver and tests) -----------------

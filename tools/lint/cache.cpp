@@ -77,7 +77,7 @@ ResultCache ResultCache::load(const std::string& path) {
       e.key.mtime_ns = std::strtoll(f[3].c_str(), nullptr, 10);
       e.key.content_hash = std::strtoull(f[4].c_str(), nullptr, 16);
       e.facts.path = unesc(f[1]);
-      e.facts.uses_shard_markers = f[5] == "1";
+      e.facts.uses_parallel_for = f[5] == "1";
       current = &cache.entries_.emplace(e.facts.path, std::move(e))
                      .first->second;
     } else if (current == nullptr) {
@@ -119,7 +119,7 @@ bool ResultCache::save(const std::string& path) const {
   for (const auto& [rel, e] : entries_) {
     out << "file\t" << esc(rel) << "\t" << e.key.size << "\t"
         << e.key.mtime_ns << "\t" << std::hex << e.key.content_hash
-        << std::dec << "\t" << (e.facts.uses_shard_markers ? 1 : 0) << "\n";
+        << std::dec << "\t" << (e.facts.uses_parallel_for ? 1 : 0) << "\n";
     for (const auto& inc : e.facts.includes) out << "inc\t" << esc(inc) << "\n";
     for (const auto& ms : e.facts.mutable_statics)
       out << "ms\t" << ms.line << "\t" << esc(ms.name) << "\n";

@@ -4,7 +4,7 @@
 // with the cache, a file whose (size, mtime, FNV-1a content hash) triple
 // is unchanged reuses its serialized FileFacts from the previous run.
 // Facts — not findings — are what get cached: the cross-file project
-// pass (shard reachability) re-derives its findings from cached facts on
+// pass (parallel reachability) re-derives its findings from cached facts on
 // every run, so editing one TU correctly re-evaluates every cross-file
 // consequence while still only re-tokenizing the one file.
 //

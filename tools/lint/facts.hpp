@@ -5,7 +5,7 @@
 // track scopes, collect symbols, run the file-local rules. Its complete
 // output is this struct, which is (a) serializable, so the mtime+hash
 // cache can skip unchanged files across runs, and (b) sufficient input
-// for the project pass (include graph, shard reachability), so cached
+// for the project pass (include graph, parallel reachability), so cached
 // files never need re-tokenizing even when the cross-file answer
 // changes.
 #pragma once
@@ -24,7 +24,7 @@ struct Finding {
 };
 
 /// A `static` non-const, non-atomic variable declared in a header: only
-/// a hazard when the header is reachable from sharded/parallel code,
+/// a hazard when the header is reachable from parallel_for code,
 /// which the project pass decides with the include graph.
 struct MutableStatic {
   std::size_t line = 0;
@@ -35,9 +35,8 @@ struct FileFacts {
   std::string path;  ///< repo-relative generic path ("src/...")
   /// Quoted #include paths as written (`hcep/des/simulator.hpp`).
   std::vector<std::string> includes;
-  /// TU mentions ShardedSimulator or parallel_for: its transitive
-  /// includes form the shard-reachable set.
-  bool uses_shard_markers = false;
+  /// TU mentions parallel_for: it roots the parallel-reachable set.
+  bool uses_parallel_for = false;
   std::vector<MutableStatic> mutable_statics;
   /// Findings decidable from this file alone (all rules except
   /// shared-mutable-static).

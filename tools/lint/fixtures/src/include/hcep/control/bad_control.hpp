@@ -19,7 +19,7 @@ struct BadControlOptions {
 
   // Controls: ratios and counts are legitimately dimensionless.
   double headroom = 0.25;
-  double shard_share = 1.0;
+  double fleet_share = 1.0;
 };
 
 }  // namespace hcep::control

@@ -1,7 +1,7 @@
 // hcep-lint selftest fixture: the shared-mutable-static cross-file rule.
 // This header is included (transitively) from a TU that uses
-// parallel_for, so the include-graph pass marks it shard-reachable: a
-// mutable static here is state every shard races on. One live violation,
+// parallel_for, so the include-graph pass marks it parallel-reachable: a
+// mutable static here is state every task races on. One live violation,
 // one suppressed twin, and const/constexpr/atomic/thread_local/function
 // controls that must stay silent. Scanned only by `hcep-lint
 // --selftest`; not part of the build.
@@ -12,8 +12,8 @@
 
 namespace hcep::shared {
 
-// LIVE shared-mutable-static: plain mutable static in a shard-reachable
-// header.
+// LIVE shared-mutable-static: plain mutable static in a
+// parallel-reachable header.
 static std::uint64_t g_event_count = 0;
 
 // Suppressed twin: must stay silent.

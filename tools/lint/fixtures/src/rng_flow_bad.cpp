@@ -1,7 +1,7 @@
 // hcep-lint selftest fixture: the rng-seed-flow rule. Every hcep::Rng
 // must be constructed with a seed threaded from a parameter or config —
 // a default-constructed or literal-seeded generator silently pins every
-// run to one stream and breaks the (seed, shards) determinism sweep.
+// run to one stream and breaks the per-seed determinism sweep.
 // Three live violations (default local, literal seed, never-seeded
 // member), one suppressed twin, and seeded controls that must stay
 // silent. Also exercises the tokenizer: violations hidden inside a raw

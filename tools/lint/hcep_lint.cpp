@@ -1,6 +1,6 @@
 // hcep-lint driver: the project's determinism/units auditor.
 //
-// Byte-determinism per (seed, shards) is this repo's load-bearing
+// Byte-determinism per seed is this repo's load-bearing
 // invariant — the frozen-controller oracle, the serial/parallel timeline
 // identity, and every BENCH_*.json gate depend on it. The analyzer
 // behind this driver is a real multi-pass checker (not line regexes):
@@ -8,7 +8,7 @@
 //   pass 1  lexer.cpp     comment/string/raw-string-aware tokenizer
 //   pass 2  scope.cpp     brace/namespace/class/function scope tracking
 //   pass 3  analyzer.cpp  per-file symbol collection + file-local rules
-//   pass 4  analyzer.cpp  include graph -> shard-reachable headers ->
+//   pass 4  analyzer.cpp  include graph -> parallel-reachable headers ->
 //                         cross-file rules
 //
 // Rule catalog lives in rules.hpp (one SARIF descriptor per rule).

@@ -53,8 +53,8 @@ inline const std::vector<RuleSpec>& rule_catalog() {
        "sort the keys first."},
       {"rng-seed-flow",
        "hcep::Rng constructed without a threaded seed",
-       "Every Rng must be seeded from a parameter/config so (seed, "
-       "shards) fully determines the run. Default-constructed or "
+       "Every Rng must be seeded from a parameter/config so the seed "
+       "fully determines the run. Default-constructed or "
        "literal-seeded Rng hides a second seed source."},
       {"pointer-key",
        "pointer-keyed container orders by address",
@@ -72,11 +72,12 @@ inline const std::vector<RuleSpec>& rule_catalog() {
        "while iterating a hash container makes the sum depend on hash "
        "order. Reduce over a sorted or naturally ordered sequence."},
       {"shared-mutable-static",
-       "mutable static state in a shard-reachable header",
-       "Headers transitively included by ShardedSimulator/parallel_for "
-       "code must not declare non-const, non-atomic statics: shards "
+       "mutable static state in a parallel-reachable header",
+       "Headers reachable from parallel_for code (through includes, and "
+       "through the TU implementing each reachable public header) must "
+       "not declare non-const, non-atomic statics: concurrent tasks "
        "would race on them and break serial/parallel byte-identity. Use "
-       "std::atomic, thread_local, const, or per-shard state."},
+       "std::atomic, thread_local, const, or per-task state."},
       {"site-id-determinism",
        "Site identified by pointer in a federation header",
        "Federation placement must be byte-reproducible: a `Site*` used "
